@@ -9,7 +9,6 @@ auditing, and a CLI that writes CSV/JSON/SVG artifacts.
 
 from .classical import (
     ClassicalDistribution,
-    classical_step,
     evolve_classical,
     make_point_distribution,
 )
@@ -37,7 +36,6 @@ from .quantum import (
     WalkerState,
     evolve_quantum,
     make_basis_state,
-    quantum_step,
 )
 from .topology import (
     Coin,
@@ -64,7 +62,6 @@ __all__ = [
     "WalkerState",
     "build_dense_stochastic",
     "build_dense_unitary",
-    "classical_step",
     "compare_step",
     "cycle_spike",
     "cycle_total",
@@ -75,7 +72,6 @@ __all__ = [
     "make_basis_state",
     "make_point_distribution",
     "position_distribution",
-    "quantum_step",
     "site_index",
     "summarize",
     "unitarity_defect",

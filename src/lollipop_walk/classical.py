@@ -3,81 +3,43 @@
 Every degree-2 site splits its mass half/half to its two neighbors; the
 junction splits a third each to its cycle neighbors [n-1] and [1] and to
 half-line site 1.  Mass is never renormalized: conservation is something
-the tests check, not something the engine enforces.
+the tests check, not something the engine enforces.  Storage, half-line
+growth and the step loop are the shared two-buffer engine in `_driver`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _driver
 from .topology import CycleNode, HalfLineNode, LollipopTopology, Site
-
-_MIN_EXTENT = 2
 
 _THIRD = 1.0 / 3.0
 
 
-class ClassicalDistribution:
+class ClassicalDistribution(_driver.TwoBufferWalk):
     """Site-probability vector of the classical walker.
 
-    Coins do not exist classically, so storage is one value per site: a
-    length-n cycle array (index 0 = junction) plus a half-line buffer whose
-    index 0 is unused.  Same two-buffer step and exact-support growth as
-    the quantum engine.
+    Coins do not exist classically, so there is one component per region:
+    a length-n cycle array (index 0 = junction) plus a half-line array
+    whose index 0 is unused.
     """
 
-    def __init__(self, topology: LollipopTopology, extent: int = _MIN_EXTENT):
-        extent = max(int(extent), _MIN_EXTENT)
-        self.topology = topology
-        self.time = 0
-        self._cycle = np.zeros(topology.cycle_size)
-        self._ray = np.zeros(extent + 1)
-        self._cycle_back = np.zeros(topology.cycle_size)
-        self._ray_back = np.zeros(extent + 1)
-        self._frontier = 0
-
-    @property
-    def extent(self) -> int:
-        return len(self._ray) - 1
+    _COMPONENTS = 1
 
     def probability(self, site: Site) -> float:
         self.topology.coins_at(site)  # validates the site
         if isinstance(site, CycleNode):
-            return float(self._cycle[site.index])
+            return float(self._cycle[0][site.index])
         if site.index > self.extent:
             return 0.0
-        return float(self._ray[site.index])
+        return float(self._ray[0][site.index])
 
     def total_mass(self) -> float:
-        return float(self._cycle.sum() + self._ray.sum())
+        return float(self._cycle[0].sum() + self._ray[0].sum())
 
-    def copy(self) -> "ClassicalDistribution":
-        dup = ClassicalDistribution(self.topology, self.extent)
-        dup.time = self.time
-        dup._frontier = self._frontier
-        dup._cycle[:] = self._cycle
-        dup._ray[:] = self._ray
-        return dup
-
-    def reserve(self, min_extent: int) -> None:
-        """Grow the half-line buffer (at least doubling) to cover min_extent."""
-        if min_extent <= self.extent:
-            return
-        new_extent = max(2 * self.extent, min_extent)
-        fresh = np.zeros(new_extent + 1)
-        fresh[: self._ray.size] = self._ray
-        self._ray = fresh
-        self._ray_back = np.zeros(new_extent + 1)
-
-    def step(self) -> None:
-        """Move every site's mass to its neighbors via the back buffers."""
-        m = self._frontier
-        if m + 2 > self.extent:
-            self.reserve(m + 2)
+    def _rule(self, cycle, ray, new_cycle, new_ray, m) -> None:
         n = self.topology.cycle_size
-        c, r = self._cycle, self._ray
-        nc, nr = self._cycle_back, self._ray_back
+        (c,), (r,) = cycle, ray
+        (nc,), (nr,) = new_cycle, new_ray
         half = 0.5 * c
         rr = 0.5 * r
         c0 = c[0]
@@ -95,11 +57,6 @@ class ClassicalDistribution:
         nr[1:m] += rr[2 : m + 1]           # from the outer neighbor x+1
         nr[1] += _THIRD * c0               # junction's share to site 1
 
-        self._cycle, self._cycle_back = nc, c
-        self._ray, self._ray_back = nr, r
-        self._frontier = m + 1
-        self.time += 1
-
 
 def make_point_distribution(
     topology: LollipopTopology, site: Site
@@ -109,16 +66,10 @@ def make_point_distribution(
     if isinstance(site, HalfLineNode):
         dist = ClassicalDistribution(topology, extent=site.index + 1)
         dist._frontier = site.index
-        dist._ray[site.index] = 1.0
+        dist._ray[0][site.index] = 1.0
         return dist
     dist = ClassicalDistribution(topology)
-    dist._cycle[site.index] = 1.0
-    return dist
-
-
-def classical_step(dist: ClassicalDistribution) -> ClassicalDistribution:
-    """Advance `dist` one step and return it (buffer-swap update)."""
-    dist.step()
+    dist._cycle[0][site.index] = 1.0
     return dist
 
 

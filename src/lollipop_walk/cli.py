@@ -34,6 +34,9 @@ from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
 
 MODELS = ("quantum", "classical")
 FORMATS = ("csv", "json", "svg")
+# Largest half-line buffer a run may need (launch offset + steps + 2 sites).
+# At 64 B per site after doubling, quantum buffers stay near 640 MB.
+MAX_HALFLINE_SITES = 10**7
 
 
 class ConfigError(ValueError):
@@ -58,6 +61,12 @@ class RunConfig:
             raise ConfigError(f"cycle size must be >= 3, got {self.cycle_size}")
         if self.total_steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.total_steps}")
+        offset = self.start_site.index if isinstance(self.start_site, HalfLineNode) else 0
+        if offset + self.total_steps + 2 > MAX_HALFLINE_SITES:
+            raise ConfigError(
+                f"launch offset {offset} + {self.total_steps} steps + 2 exceeds the "
+                f"limit of {MAX_HALFLINE_SITES} half-line sites"
+            )
         try:
             _driver.validate_snapshot_times(self.snapshot_times, self.total_steps)
         except ValueError as exc:
@@ -229,7 +238,7 @@ def build_tables_report(
 
 
 def compute_tables_report(progress=None) -> TablesReport:
-    """Run both 25-node benchmarks (about two minutes) and diff them."""
+    """Run both 25-node benchmarks (about a minute) and diff them."""
     topology = LollipopTopology(25)
     if progress:
         progress(f"running quantum benchmark ({BENCHMARK_STEPS} steps)")
@@ -368,7 +377,7 @@ def _build_parser() -> _Parser:
     tables_p = sub.add_parser(
         "tables",
         help="re-run the two long benchmarks and diff against reference values "
-        "(about two minutes)",
+        "(about a minute)",
     )
     tables_p.add_argument(
         "--tolerance",

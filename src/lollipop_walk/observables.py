@@ -51,26 +51,20 @@ class SummaryRecord:
 def position_distribution(state) -> PositionDistribution:
     """Site marginal of a quantum state, or pass-through of classical masses.
 
-    Quantum site probability is the squared modulus summed over the site's
+    Quantum site probability is the squared amplitude summed over the site's
     coin states; the junction sums its L, R, and Down components.
     """
     if isinstance(state, WalkerState):
-        cycle = (
-            state._left.real**2
-            + state._left.imag**2
-            + state._right.real**2
-            + state._right.imag**2
-        )
-        down = state._down.real**2 + state._down.imag**2
-        up = state._up.real**2 + state._up.imag**2
-        halfline = down + up
+        left, right = state._cycle
+        down, up = state._ray
+        cycle = left**2 + right**2
+        halfline = down**2 + up**2
         cycle[0] += halfline[0]
         halfline[0] = 0.0
         return PositionDistribution(state.time, cycle, halfline, "quantum")
     if isinstance(state, ClassicalDistribution):
-        return PositionDistribution(
-            state.time, state._cycle.copy(), state._ray.copy(), "classical"
-        )
+        (cycle,), (ray,) = state._cycle, state._ray
+        return PositionDistribution(state.time, cycle.copy(), ray.copy(), "classical")
     raise TypeError(f"not a walk state: {state!r}")
 
 

@@ -6,9 +6,11 @@ use the Hadamard-type rule with weight sqrt(2)/2; the degree-3 junction
 uses the Grover coin (diagonal -1/3, off-diagonal 2/3) over its (L, R,
 Down) components, routed to [n-1], [1], and half-line site 1.
 
-The half-line is stored as a finite buffer that grows geometrically ahead
-of the walker's light cone: after t steps the support cannot pass site t,
-so truncation is exact, never approximate.
+Every entry of the one-step operator is real and every launch is a basis
+state, so every amplitude stays real and float64 storage is exact: it
+holds the same values a complex engine would keep in its real parts.
+Storage, half-line growth and the step loop are the shared two-buffer
+engine in `_driver`.
 """
 
 from __future__ import annotations
@@ -22,113 +24,49 @@ from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
 
 SQRT_HALF = math.sqrt(0.5)
 
-_MIN_EXTENT = 2
 
+class WalkerState(_driver.TwoBufferWalk):
+    """Real amplitudes of the quantum walker over (site, coin) basis states.
 
-class WalkerState:
-    """Amplitudes of the quantum walker over (site, coin) basis states.
-
-    Cycle amplitudes live in two length-n arrays (Left and Right coins);
-    half-line amplitudes live in two buffers indexed by site, where index 0
-    of the Down buffer is the junction's Down coin and index 0 of the Up
-    buffer is structurally zero.  Each step writes into a second buffer and
-    swaps; growth ahead of the frontier keeps every representable amplitude
-    exact.  Complex double precision throughout, even though real launches
-    stay real.
+    The cycle components are (Left, Right), each a length-n array; the
+    half-line components are (Down, Up), indexed by site, where index 0 of
+    Down is the junction's Down coin and index 0 of Up is structurally zero.
     """
 
-    def __init__(self, topology: LollipopTopology, extent: int = _MIN_EXTENT):
-        extent = max(int(extent), _MIN_EXTENT)
-        n = topology.cycle_size
-        self.topology = topology
-        self.time = 0
-        self._left = np.zeros(n, dtype=np.complex128)
-        self._right = np.zeros(n, dtype=np.complex128)
-        self._down = np.zeros(extent + 1, dtype=np.complex128)
-        self._up = np.zeros(extent + 1, dtype=np.complex128)
-        self._left_back = np.zeros(n, dtype=np.complex128)
-        self._right_back = np.zeros(n, dtype=np.complex128)
-        self._down_back = np.zeros(extent + 1, dtype=np.complex128)
-        self._up_back = np.zeros(extent + 1, dtype=np.complex128)
-        # upper bound on the largest occupied half-line site
-        self._frontier = 0
+    _COMPONENTS = 2
 
-    @property
-    def extent(self) -> int:
-        """Largest half-line site currently representable."""
-        return len(self._down) - 1
-
-    def amplitude(self, site: Site, coin: Coin):
+    def amplitude(self, site: Site, coin: Coin) -> float:
         """Amplitude of one basis state (0 for half-line sites past the buffer)."""
         self.topology.check_state(site, coin)
+        left, right = self._cycle
+        down, up = self._ray
         if isinstance(site, CycleNode):
             if coin is Coin.LEFT:
-                return complex(self._left[site.index])
+                return float(left[site.index])
             if coin is Coin.RIGHT:
-                return complex(self._right[site.index])
-            return complex(self._down[0])
+                return float(right[site.index])
+            return float(down[0])
         if site.index > self.extent:
-            return 0j
-        arr = self._down if coin is Coin.DOWN else self._up
-        return complex(arr[site.index])
+            return 0.0
+        return float((down if coin is Coin.DOWN else up)[site.index])
 
     def norm(self) -> float:
         """Euclidean norm of the full amplitude vector."""
-        total = (
-            np.vdot(self._left, self._left).real
-            + np.vdot(self._right, self._right).real
-            + np.vdot(self._down, self._down).real
-            + np.vdot(self._up, self._up).real
-        )
-        return math.sqrt(total)
+        return math.sqrt(sum(float(np.dot(a, a)) for a in self._cycle + self._ray))
 
-    def copy(self) -> "WalkerState":
-        dup = WalkerState(self.topology, self.extent)
-        dup.time = self.time
-        dup._frontier = self._frontier
-        dup._left[:] = self._left
-        dup._right[:] = self._right
-        dup._down[:] = self._down
-        dup._up[:] = self._up
-        return dup
-
-    def reserve(self, min_extent: int) -> None:
-        """Grow the half-line buffers so that `extent >= min_extent`.
-
-        Newly exposed sites hold exact zeros.  Growth is at least a doubling,
-        so repeated stepping stays amortized O(1) per site update.
-        """
-        if min_extent <= self.extent:
-            return
-        new_extent = max(2 * self.extent, min_extent)
-        for name in ("_down", "_up"):
-            old = getattr(self, name)
-            fresh = np.zeros(new_extent + 1, dtype=np.complex128)
-            fresh[: old.size] = old
-            setattr(self, name, fresh)
-        self._down_back = np.zeros(new_extent + 1, dtype=np.complex128)
-        self._up_back = np.zeros(new_extent + 1, dtype=np.complex128)
-
-    def step(self) -> None:
-        """Apply one walk step (coin then shift) via the back buffers."""
-        m = self._frontier
-        if m + 2 > self.extent:
-            self.reserve(m + 2)
-            m = self._frontier
+    def _rule(self, cycle, ray, new_cycle, new_ray, m) -> None:
         n = self.topology.cycle_size
-        cl, cr, d, u = self._left, self._right, self._down, self._up
-        ncl, ncr, nd, nu = (
-            self._left_back,
-            self._right_back,
-            self._down_back,
-            self._up_back,
-        )
+        cl, cr = cycle
+        d, u = ray
+        ncl, ncr = new_cycle
+        nd, nu = new_ray
 
-        # junction: Grover coin over (L, R, Down), routed to [n-1]L, [1]R, (1)Up
+        # junction: Grover coin over (L, R, Down), routed to [n-1]L, [1]R, (1)Up;
+        # times the rounded 1/3, not / 3: the golden artifact digests pin it
         l0, r0, d0 = cl[0], cr[0], d[0]
-        to_left = (2.0 * (r0 + d0) - l0) / 3.0
-        to_right = (2.0 * (l0 + d0) - r0) / 3.0
-        to_up = (2.0 * (l0 + r0) - d0) / 3.0
+        to_left = (2.0 * (r0 + d0) - l0) * (1.0 / 3.0)
+        to_right = (2.0 * (l0 + d0) - r0) * (1.0 / 3.0)
+        to_up = (2.0 * (l0 + r0) - d0) * (1.0 / 3.0)
 
         # cycle, gathered at the target: [k]L <- [k+1], [k]R <- [k-1]
         np.add(cl[1:n], cr[1:n], out=ncl[0 : n - 1])
@@ -148,13 +86,6 @@ class WalkerState:
         nu[0] = 0.0
         nu[1] = to_up
 
-        self._left, self._left_back = ncl, cl
-        self._right, self._right_back = ncr, cr
-        self._down, self._down_back = nd, d
-        self._up, self._up_back = nu, u
-        self._frontier = m + 1
-        self.time += 1
-
 
 def make_basis_state(
     topology: LollipopTopology, site: Site, coin: Coin
@@ -164,24 +95,13 @@ def make_basis_state(
     if isinstance(site, HalfLineNode):
         state = WalkerState(topology, extent=site.index + 1)
         state._frontier = site.index
-        if coin is Coin.DOWN:
-            state._down[site.index] = 1.0
-        else:
-            state._up[site.index] = 1.0
+        state._ray[0 if coin is Coin.DOWN else 1][site.index] = 1.0
         return state
     state = WalkerState(topology)
-    if coin is Coin.LEFT:
-        state._left[site.index] = 1.0
-    elif coin is Coin.RIGHT:
-        state._right[site.index] = 1.0
+    if coin is Coin.DOWN:
+        state._ray[0][0] = 1.0
     else:
-        state._down[0] = 1.0
-    return state
-
-
-def quantum_step(state: WalkerState) -> WalkerState:
-    """Advance `state` one step and return it (buffer-swap update)."""
-    state.step()
+        state._cycle[0 if coin is Coin.LEFT else 1][site.index] = 1.0
     return state
 
 

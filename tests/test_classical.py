@@ -5,7 +5,6 @@ from lollipop_walk import (
     CycleNode,
     HalfLineNode,
     LollipopTopology,
-    classical_step,
     evolve_classical,
     make_point_distribution,
     position_distribution,
@@ -41,6 +40,7 @@ def test_junction_splits_in_thirds(topo):
 def test_cycle_site_splits_in_halves(topo):
     dist = make_point_distribution(topo, CycleNode(12))
     dist.step()
+    assert dist.time == 1
     assert dist.probability(CycleNode(11)) == 0.5
     assert dist.probability(CycleNode(13)) == 0.5
     assert dist.probability(CycleNode(12)) == 0.0
@@ -68,13 +68,6 @@ def test_two_steps_from_cycle12(topo):
     pd = position_distribution(dist)
     for k in range(25):
         assert pd.cycle_probs[k] == pytest.approx(want.get(k, 0.0), abs=1e-15)
-
-
-def test_classical_step_function_advances(topo):
-    dist = make_point_distribution(topo, CycleNode(12))
-    out = classical_step(dist)
-    assert out is dist
-    assert dist.time == 1
 
 
 def test_mass_conserved_and_non_negative(topo):

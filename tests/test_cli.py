@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -229,6 +230,40 @@ def test_run_is_byte_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+# SHA-256 of the "<file name> <file SHA-256>" lines of every artifact of a
+# 300-step run with snapshots 0,1,97,300 and --format csv,json,svg, recorded
+# from the complex-valued engine.  The real-valued engine must match byte for
+# byte; cycle:0:D drives the Grover junction from the first step.
+GOLDEN_RUNS = [
+    ("quantum", "13", "cycle:0:D",
+     "eb817a38fcf58d9135d9410c6ed9a07a3ef95299c6027fea511396c3619280ff"),
+    ("quantum", "13", "half:3:U",
+     "d3e9138bb6fb53a2afcfe8b30ea37eece69d08f5777b7623a442841ed6bee02e"),
+    ("quantum", "25", "cycle:12:R",
+     "47359e094de92806c054b919601ba9cd5f53fceffe9746c652d75695846ad957"),
+    ("classical", "13", "cycle:12",
+     "b82c9be59d9c7f6b54f34ca59bbef222e377e4eb07d05a80db900fab962cc75d"),
+    ("classical", "13", "half:3",
+     "74e065aeb9d66371a86a345fe2a9cd0e193b64964eaf7097bd70577b26e2e0d1"),
+]
+
+
+@pytest.mark.parametrize("model,cycle_size,start,digest", GOLDEN_RUNS)
+def test_run_artifacts_match_golden_digests(tmp_path, model, cycle_size, start, digest):
+    out = tmp_path / "out"
+    code = main(
+        run_args(out, model=model, start=start, steps="300", cycle_size=cycle_size,
+                 snapshots="0,1,97,300", format="csv,json,svg")
+    )
+    assert code == 0
+    files = sorted(out.iterdir())
+    assert len(files) == 18
+    manifest = "".join(
+        f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in files
+    )
+    assert hashlib.sha256(manifest.encode()).hexdigest() == digest
+
+
 # --- exit codes -------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -262,6 +297,17 @@ def test_usage_errors_exit_1(argv, capsys, tmp_path):
     argv = [str(tmp_path / a) if a == "o" else a for a in argv]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "start,steps",
+    [("half:1000000000000:U", "0"), ("cycle:12:R", "100000000000")],
+)
+def test_oversized_halfline_run_exits_1_before_allocating(start, steps, capsys, tmp_path):
+    out = tmp_path / "out"
+    assert main(run_args(out, start=start, steps=steps)) == 1
+    assert "half-line sites" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):

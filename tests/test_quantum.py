@@ -11,7 +11,6 @@ from lollipop_walk import (
     evolve_quantum,
     make_basis_state,
     position_distribution,
-    quantum_step,
 )
 
 S = math.sqrt(0.5)
@@ -52,6 +51,7 @@ def test_basis_state_rejects_bad_coin(topo):
 def test_single_step_cycle_right(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     state.step()
+    assert state.time == 1
     assert abs(amp(state, CycleNode(11), Coin.LEFT) - S) < 1e-15
     assert abs(amp(state, CycleNode(13), Coin.RIGHT) + S) < 1e-15
     assert abs(state.norm() - 1.0) < 1e-15
@@ -106,13 +106,6 @@ def test_two_steps_from_cycle12(topo):
         assert abs(amp(state, site, coin) - want) < 1e-15
 
 
-def test_quantum_step_function_advances(topo):
-    state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
-    out = quantum_step(state)
-    assert out is state
-    assert state.time == 1
-
-
 def test_norm_after_1000_steps(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     for _ in range(1000):
@@ -123,7 +116,7 @@ def test_norm_after_1000_steps(topo):
 def test_norm_of_zero_state(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     # test-only construction of the zero vector
-    for buf in (state._left, state._right, state._down, state._up):
+    for buf in state._cycle + state._ray:
         buf[:] = 0.0
     assert state.norm() == 0.0
 
