@@ -2,9 +2,24 @@
 
 Both walks live on the same graph and share one storage scheme: a fixed
 length-n cycle part and a half-line buffer that grows geometrically ahead
-of the walker's light cone.  After t steps from a site at offset x the
-support cannot pass half-line site x + t, so the finite buffer represents
-the infinite half-line exactly, never approximately.
+of the walker's frontier.  After t steps from a site at offset x the
+support cannot pass half-line site x + t, so a buffer that long would hold
+the infinite half-line exactly.
+
+Far ahead of the walker the values fall below the smallest normal double
+`tiny` (2.2e-308): classical masses underflow to exact zeros, while quantum
+amplitudes settle into a band of subnormals that never decays, because
+2**-1074 is a fixed point of multiplication by 1/sqrt(2).  Every
+`_TRIM_PERIOD` steps the engine therefore moves its frontier back to the
+last half-line site where some component is at least `tiny` and zeroes the
+contiguous tail past it; interior values are never touched.  Each trimmed
+site held less than `tiny` in each of its k components, so a trim discards
+less than k * tiny**2 probability per site for the quantum walk (k = 2)
+and less than tiny mass per site for the classical walk (k = 1).  The
+step is linear and does not grow the 2-norm (quantum) or the 1-norm
+(classical), so a later state is off from the untrimmed one by at most the
+sum of the norms the trims discarded: far below anything a float64
+observable resolves.
 """
 
 from __future__ import annotations
@@ -12,6 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 _MIN_EXTENT = 2
+# steps between tail trims; a trim scans the ray buffers, which costs about
+# as much as one step
+_TRIM_PERIOD = 64
+_TINY = np.finfo(np.float64).tiny
 
 
 class TwoBufferWalk:
@@ -24,7 +43,7 @@ class TwoBufferWalk:
     which writes the next state into the `new_*` arrays from the current
     ones, where m bounds the largest occupied half-line site; the ray
     arrays reach at least index m + 2.  Entries of `new_ray` past m + 1
-    are zero already and are left alone.
+    are zero already and are left alone; the tail trim keeps that so.
     """
 
     def __init__(self, topology, extent: int = _MIN_EXTENT):
@@ -80,6 +99,22 @@ class TwoBufferWalk:
         self._ray, self._ray_back = self._ray_back, self._ray
         self._frontier = m + 1
         self.time += 1
+        if self.time % _TRIM_PERIOD == 0:
+            self._trim_tail()
+
+    def _trim_tail(self) -> None:
+        """Move the frontier back to the last half-line site where some
+        component is at least the smallest normal double, zeroing the
+        contiguous tail past it in the front and back buffers alike."""
+        m = self._frontier
+        live = np.abs(self._ray[0][: m + 1]) >= _TINY
+        for a in self._ray[1:]:
+            live |= np.abs(a[: m + 1]) >= _TINY
+        sites = np.flatnonzero(live)
+        keep = int(sites[-1]) if sites.size else 0
+        for a in self._ray + self._ray_back:
+            a[keep + 1 : m + 2] = 0.0
+        self._frontier = keep
 
 
 def validate_snapshot_times(snapshot_times, total_steps: int) -> list[int]:

@@ -34,9 +34,13 @@ from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
 
 MODELS = ("quantum", "classical")
 FORMATS = ("csv", "json", "svg")
-# Largest half-line buffer a run may need (launch offset + steps + 2 sites).
-# At 64 B per site after doubling, quantum buffers stay near 640 MB.
+# Largest half-line buffer a run may need (launch offset + steps + 2 sites),
+# and largest cycle.  At 64 B per site after doubling, quantum half-line
+# buffers stay near 640 MB; a cycle this size takes 320 MB.
 MAX_HALFLINE_SITES = 10**7
+# Largest dense operator `oracle-check` builds (2n + 1 + 2 x_max basis
+# states): each of its few dense matrices then takes 32 MiB.
+MAX_ORACLE_DIMENSION = 2048
 
 
 class ConfigError(ValueError):
@@ -59,6 +63,11 @@ class RunConfig:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.cycle_size < 3:
             raise ConfigError(f"cycle size must be >= 3, got {self.cycle_size}")
+        if self.cycle_size > MAX_HALFLINE_SITES:
+            raise ConfigError(
+                f"cycle size {self.cycle_size} exceeds the limit of "
+                f"{MAX_HALFLINE_SITES} sites"
+            )
         if self.total_steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.total_steps}")
         offset = self.start_site.index if isinstance(self.start_site, HalfLineNode) else 0
@@ -238,7 +247,7 @@ def build_tables_report(
 
 
 def compute_tables_report(progress=None) -> TablesReport:
-    """Run both 25-node benchmarks (about a minute) and diff them."""
+    """Run both 25-node benchmarks (about 15 seconds) and diff them."""
     topology = LollipopTopology(25)
     if progress:
         progress(f"running quantum benchmark ({BENCHMARK_STEPS} steps)")
@@ -312,6 +321,12 @@ def oracle_check(n: int, x_max: int, steps: int) -> tuple[str, bool]:
             f"inside the truncation, got steps={steps}, x_max={x_max}"
         )
     topology = LollipopTopology(n)
+    dimension = topology.state_count(x_max)
+    if dimension > MAX_ORACLE_DIMENSION:
+        raise ConfigError(
+            f"dense operator dimension 2n + 1 + 2 x_max = {dimension} exceeds "
+            f"the limit of {MAX_ORACLE_DIMENSION}"
+        )
     defect = unitarity_defect(build_dense_unitary(topology, x_max))
     mismatch = compare_step(topology, x_max, steps)
     ok = defect <= DEFECT_LIMIT and mismatch <= MISMATCH_LIMIT
@@ -377,7 +392,7 @@ def _build_parser() -> _Parser:
     tables_p = sub.add_parser(
         "tables",
         help="re-run the two long benchmarks and diff against reference values "
-        "(about a minute)",
+        "(about 15 seconds)",
     )
     tables_p.add_argument(
         "--tolerance",

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The four long 25-node benchmark runs are session-scoped so the whole suite
-pays for them once (around two minutes total on a typical machine).
+pays for them once (about half a minute in all on a 2-vCPU machine).
 """
 
 from __future__ import annotations

@@ -310,6 +310,34 @@ def test_oversized_halfline_run_exits_1_before_allocating(start, steps, capsys, 
     assert not out.exists()
 
 
+def refuse_to_allocate(*args):
+    raise AssertionError("allocating call reached past the size limit")
+
+
+def test_oversized_cycle_run_exits_1_before_allocating(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "make_point_distribution", refuse_to_allocate)
+    out = tmp_path / "out"
+    argv = run_args(out, model="classical", start="cycle:1", steps="0",
+                    cycle_size="1000000000000")
+    assert main(argv) == 1
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cycle_size,x_max", [("5", "100000"), ("1000000000000", "10")]
+)
+def test_oversized_oracle_check_exits_1_before_allocating(
+    monkeypatch, capsys, cycle_size, x_max
+):
+    monkeypatch.setattr(cli, "build_dense_unitary", refuse_to_allocate)
+    monkeypatch.setattr(cli, "compare_step", refuse_to_allocate)
+    argv = ["oracle-check", "--cycle-size", cycle_size, "--x-max", x_max,
+            "--steps", "8"]
+    assert main(argv) == 1
+    assert "dimension" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "run" in capsys.readouterr().out
