@@ -135,15 +135,21 @@ def parse_start(text: str) -> tuple[Site, Coin | None]:
 
 
 def execute_run(config: RunConfig) -> tuple[list[SummaryRecord], list[Path]]:
-    """Run one walk per `config` and write the requested artifact files."""
+    """Run one walk per `config` and write the requested artifact files.
+
+    Each snapshot's files are written as soon as it is taken, so only one
+    snapshot distribution is alive at a time however many are asked for.
+    Stepping stops at the last snapshot time: later steps would write
+    nothing.
+    """
     config.validate()
     topology = LollipopTopology(config.cycle_size)
     if config.model == "quantum":
         state = make_basis_state(topology, config.start_site, config.start_coin)
-        snapshots = evolve_quantum(state, config.total_steps, config.snapshot_times)
+        evolve = evolve_quantum
     else:
-        dist = make_point_distribution(topology, config.start_site)
-        snapshots = evolve_classical(dist, config.total_steps, config.snapshot_times)
+        state = make_point_distribution(topology, config.start_site)
+        evolve = evolve_classical
 
     outdir = config.output_directory
     outdir.mkdir(parents=True, exist_ok=True)
@@ -154,7 +160,8 @@ def execute_run(config: RunConfig) -> tuple[list[SummaryRecord], list[Path]]:
         writer(path, *args)
         written.append(path)
 
-    for t, dist in snapshots:
+    for t in config.snapshot_times:
+        [(_, dist)] = evolve(state, t - state.time, [t - state.time])
         records.append(summarize(dist))
         if "csv" in config.formats:
             emit(outdir / f"distribution_t{t}.csv", write_distribution_csv, dist)

@@ -2,6 +2,18 @@
 
 All writers format floats explicitly and emit "\n" newlines so repeated
 runs with the same inputs produce byte-identical files.
+
+A ballistic half-line profile holds thousands of values per snapshot, so
+each per-value region (a CSV region, a JSON array, the SVG polyline) is
+built by one `%` or `join` call over a Python list, which formats every
+value in C instead of in a Python loop, and each of these files goes out
+in a single `write`.  The bytes are those of the per-value code: `%.10g` (CSV) and
+`%.2f` (SVG) equal the `format()` specs `.10g` and `.2f`, and the SVG
+coordinates are computed elementwise in float64 in the operation order of
+the scalar expressions.  The distribution JSON is laid out directly as
+`json.dump(payload, indent=2, sort_keys=True)` lays it out, with floats as
+`float.__repr__`, which is json's encoding of a finite float (probabilities
+always are); `indent` would force json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -28,33 +40,48 @@ def halfline_cutoff(halfline_probs: np.ndarray) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def distribution_rows(dist: PositionDistribution):
-    """(region, site, probability) rows: cycle ascending, then half-line."""
-    for k, p in enumerate(dist.cycle_probs):
-        yield "cycle", k, float(p)
-    for x in range(1, halfline_cutoff(dist.halfline_probs) + 1):
-        yield "halfline", x, float(dist.halfline_probs[x])
+def _csv_region(region: str, sites, probs: np.ndarray) -> str:
+    """`region,site,probability` rows for parallel site and probability arrays."""
+    row = f"{region},%d,%.10g\n"
+    values = [None] * (2 * probs.size)
+    values[0::2] = sites
+    values[1::2] = probs.tolist()
+    return (row * probs.size) % tuple(values)
 
 
 def write_distribution_csv(path: Path, dist: PositionDistribution) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("region,site,probability\n")
-        for region, site, p in distribution_rows(dist):
-            fh.write(f"{region},{site},{format_probability(p)}\n")
+    """Cycle nodes ascending, then half-line sites 1..cutoff."""
+    cutoff = halfline_cutoff(dist.halfline_probs)
+    _write_text(
+        path,
+        "region,site,probability\n"
+        + _csv_region("cycle", range(dist.cycle_probs.size), dist.cycle_probs)
+        + _csv_region("halfline", range(1, cutoff + 1),
+                      dist.halfline_probs[1 : cutoff + 1]),
+    )
+
+
+def _json_floats(probs: np.ndarray, indent: int) -> str:
+    """A float array as `json.dump(..., indent=2)` lays it out at `indent`."""
+    if probs.size == 0:
+        return "[]"
+    pad = "\n" + " " * indent
+    items = ("," + pad).join(map(float.__repr__, probs.tolist()))
+    return f"[{pad}{items}\n{' ' * (indent - 2)}]"
 
 
 def write_distribution_json(path: Path, dist: PositionDistribution) -> None:
+    """Keys `cycle`, `halfline` {`first_site`, `probabilities`}, `source`,
+    `time`, sorted and indented as `json.dump(indent=2, sort_keys=True)`."""
     cutoff = halfline_cutoff(dist.halfline_probs)
-    payload = {
-        "time": dist.time,
-        "source": dist.source,
-        "cycle": [float(p) for p in dist.cycle_probs],
-        "halfline": {
-            "first_site": 1,
-            "probabilities": [float(p) for p in dist.halfline_probs[1 : cutoff + 1]],
-        },
-    }
-    _write_json(path, payload)
+    _write_text(
+        path,
+        f'{{\n  "cycle": {_json_floats(dist.cycle_probs, 4)},\n'
+        f'  "halfline": {{\n    "first_site": 1,\n'
+        f'    "probabilities": {_json_floats(dist.halfline_probs[1 : cutoff + 1], 6)}\n'
+        f'  }},\n  "source": {json.dumps(dist.source)},\n'
+        f'  "time": {dist.time}\n}}\n',
+    )
 
 
 def _record_dict(rec: SummaryRecord) -> dict:
@@ -88,13 +115,13 @@ def write_summary_csv(path: Path, records: list[SummaryRecord]) -> None:
 
 
 def write_summary_json(path: Path, records: list[SummaryRecord]) -> None:
-    _write_json(path, {"summaries": [_record_dict(r) for r in records]})
+    payload = {"summaries": [_record_dict(r) for r in records]}
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # --- SVG ------------------------------------------------------------------
@@ -190,13 +217,14 @@ def render_halfline_svg(dist: PositionDistribution) -> str:
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     _y_scale_label(parts, top)
     span = max(cutoff - 1, 1)
-    points = []
-    for i, p in enumerate(probs):
-        x = MARGIN_LEFT + plot_w * i / span
-        y = HEIGHT - MARGIN_BOTTOM - plot_h * float(p) / top
-        points.append(f"{x:.2f},{y:.2f}")
+    # elementwise in the order of the scalar MARGIN_LEFT + plot_w * i / span
+    # and HEIGHT - MARGIN_BOTTOM - plot_h * p / top, which fixes the rounding
+    coords = [None] * (2 * probs.size)
+    coords[0::2] = (MARGIN_LEFT + (plot_w * np.arange(probs.size)) / span).tolist()
+    coords[1::2] = (HEIGHT - MARGIN_BOTTOM - (plot_h * probs) / top).tolist()
+    points = " ".join(["%.2f,%.2f"] * probs.size) % tuple(coords)
     parts.append(
-        f'<polyline points="{" ".join(points)}" fill="none" stroke="firebrick" '
+        f'<polyline points="{points}" fill="none" stroke="firebrick" '
         f'stroke-width="1"/>'
     )
     for frac in (0.0, 0.5, 1.0):
@@ -211,5 +239,4 @@ def render_halfline_svg(dist: PositionDistribution) -> str:
 
 
 def write_svg(path: Path, content: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(content)
+    _write_text(path, content)

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from lollipop_walk import Coin, CycleNode, HalfLineNode, SummaryRecord, cli
+from lollipop_walk import Coin, CycleNode, HalfLineNode, SummaryRecord, cli, observables
+from lollipop_walk._driver import TwoBufferWalk
 from lollipop_walk.cli import (
     ConfigError,
     RunConfig,
@@ -230,34 +232,82 @@ def test_run_is_byte_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_run_writes_each_snapshot_as_it_is_taken(tmp_path, monkeypatch):
+    refs = []
+
+    class TrackedDistribution(observables.PositionDistribution):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    live_at_write = []
+    write_csv = cli.write_distribution_csv
+
+    def counting_write(path, dist):
+        live_at_write.append(sum(r() is not None for r in refs))
+        write_csv(path, dist)
+
+    steps = []
+    step = TwoBufferWalk.step
+
+    def counting_step(state):
+        steps.append(state.time)
+        step(state)
+
+    monkeypatch.setattr(observables, "PositionDistribution", TrackedDistribution)
+    monkeypatch.setattr(cli, "write_distribution_csv", counting_write)
+    monkeypatch.setattr(TwoBufferWalk, "step", counting_step)
+    snapshots = ",".join(str(t) for t in range(0, 100, 2))
+    out = tmp_path / "w"
+    assert main(run_args(out, steps="150", snapshots=snapshots, format="csv")) == 0
+    assert len(live_at_write) == 50
+    assert max(live_at_write) <= 2
+    assert len(steps) == 98  # none past the last snapshot
+
+
 # SHA-256 of the "<file name> <file SHA-256>" lines of every artifact of a
-# 300-step run with snapshots 0,1,97,300 and --format csv,json,svg, recorded
-# from the complex-valued engine.  The real-valued engine must match byte for
-# byte; cycle:0:D drives the Grover junction from the first step.
+# run with --format csv,json,svg.  The 300-step runs (snapshots 0,1,97,300)
+# were recorded from the complex-valued engine, the 6000-step runs (snapshots
+# 0,1,100,999,3000,6000, half-line profiles a few thousand sites long) from
+# the per-value writers.  Both must match byte for byte; cycle:0:D drives the
+# Grover junction from the first step.
+SHORT = ("300", "0,1,97,300")
+LONG = ("6000", "0,1,100,999,3000,6000")
 GOLDEN_RUNS = [
-    ("quantum", "13", "cycle:0:D",
+    ("quantum", "13", "cycle:0:D", SHORT,
      "eb817a38fcf58d9135d9410c6ed9a07a3ef95299c6027fea511396c3619280ff"),
-    ("quantum", "13", "half:3:U",
+    ("quantum", "13", "half:3:U", SHORT,
      "d3e9138bb6fb53a2afcfe8b30ea37eece69d08f5777b7623a442841ed6bee02e"),
-    ("quantum", "25", "cycle:12:R",
+    ("quantum", "25", "cycle:12:R", SHORT,
      "47359e094de92806c054b919601ba9cd5f53fceffe9746c652d75695846ad957"),
-    ("classical", "13", "cycle:12",
+    ("classical", "13", "cycle:12", SHORT,
      "b82c9be59d9c7f6b54f34ca59bbef222e377e4eb07d05a80db900fab962cc75d"),
-    ("classical", "13", "half:3",
+    ("classical", "13", "half:3", SHORT,
      "74e065aeb9d66371a86a345fe2a9cd0e193b64964eaf7097bd70577b26e2e0d1"),
+    ("quantum", "25", "cycle:12:R", LONG,
+     "5a74f754d3efb845028c5b674bc1865ee9dc544515a01be72a8379a7a7727cb8"),
+    ("classical", "25", "cycle:12", LONG,
+     "06e2559141e27aee3f07ad1a302fd2c1e61d59334ab09d39413584f27764867a"),
 ]
 
 
-@pytest.mark.parametrize("model,cycle_size,start,digest", GOLDEN_RUNS)
-def test_run_artifacts_match_golden_digests(tmp_path, model, cycle_size, start, digest):
+@pytest.mark.parametrize(
+    "model,cycle_size,start,length,digest",
+    GOLDEN_RUNS,
+    ids=["-".join((m, n, s, d)) for m, n, s, _, d in GOLDEN_RUNS],
+)
+def test_run_artifacts_match_golden_digests(
+    tmp_path, model, cycle_size, start, length, digest
+):
+    steps, snapshots = length
     out = tmp_path / "out"
     code = main(
-        run_args(out, model=model, start=start, steps="300", cycle_size=cycle_size,
-                 snapshots="0,1,97,300", format="csv,json,svg")
+        run_args(out, model=model, start=start, steps=steps, cycle_size=cycle_size,
+                 snapshots=snapshots, format="csv,json,svg")
     )
     assert code == 0
     files = sorted(out.iterdir())
-    assert len(files) == 18
+    assert len(files) == 4 * len(snapshots.split(",")) + 2
     manifest = "".join(
         f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in files
     )
