@@ -20,11 +20,17 @@ step is linear and does not grow the 2-norm (quantum) or the 1-norm
 (classical), so a later state is off from the untrimmed one by at most the
 sum of the norms the trims discarded: far below anything a float64
 observable resolves.
+
+The engine classes are the only code that knows where a (site, coin) value
+is stored; everything else reads a walk through its accessors and
+`observables.position_distribution`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import observables
 
 _MIN_EXTENT = 2
 # steps between tail trims; a trim scans the ray buffers, which costs about
@@ -36,14 +42,24 @@ _TINY = np.finfo(np.float64).tiny
 class TwoBufferWalk:
     """Real-valued walk state stepped by a stencil rule via back buffers.
 
-    `_cycle` and `_ray` are tuples of float64 arrays, one per component
-    (`_COMPONENTS` of each): cycle arrays have length n with index 0 the
-    junction, ray arrays are indexed by half-line site.  A subclass gives
-    the component count and `_rule(cycle, ray, new_cycle, new_ray, m)`,
-    which writes the next state into the `new_*` arrays from the current
-    ones, where m bounds the largest occupied half-line site; the ray
-    arrays reach at least index m + 2.  Entries of `new_ray` past m + 1
-    are zero already and are left alone; the tail trim keeps that so.
+    `_cycle` and `_ray` are tuples of float64 arrays, one per component:
+    cycle arrays have length n with index 0 the junction, ray arrays are
+    indexed by half-line site.  A subclass supplies
+
+    - `_COMPONENTS`: the number of arrays per region;
+    - `SOURCE`: the walk's name ("quantum" or "classical"), carried by its
+      snapshots;
+    - `_slot(topology, site, coin) -> (on_ray, component, index)`: where
+      the value of one (site, coin) basis state lives, raising ValueError
+      unless the topology admits it;
+    - `_rule(cycle, ray, new_cycle, new_ray, m)`: writes the next state into
+      the `new_*` arrays from the current ones, where m bounds the largest
+      occupied half-line site; the ray arrays reach at least index m + 2.
+      Entries of `new_ray` past m + 1 are zero already and are left alone;
+      the tail trim keeps that so;
+    - `_site_probabilities() -> (cycle, halfline)`: fresh arrays of the
+      probability at each cycle node and half-line site, with half-line
+      index 0 zero (the junction counts on the cycle).
     """
 
     def __init__(self, topology, extent: int = _MIN_EXTENT):
@@ -58,6 +74,22 @@ class TwoBufferWalk:
         self._ray_back = tuple(np.zeros(extent + 1) for _ in range(k))
         # upper bound on the largest occupied half-line site
         self._frontier = 0
+
+    @classmethod
+    def _launch(cls, topology, site, coin=None):
+        """State at time 0 holding 1.0 in the slot of one basis state."""
+        on_ray, component, index = cls._slot(topology, site, coin)
+        state = cls(topology, index + 1 if on_ray else _MIN_EXTENT)
+        if on_ray:
+            state._frontier = index
+        (state._ray if on_ray else state._cycle)[component][index] = 1.0
+        return state
+
+    def _value(self, site, coin=None) -> float:
+        """Value of one basis state; 0.0 for half-line sites past the buffer."""
+        on_ray, component, index = self._slot(self.topology, site, coin)
+        values = (self._ray if on_ray else self._cycle)[component]
+        return float(values[index]) if index < values.size else 0.0
 
     @property
     def extent(self) -> int:
@@ -128,30 +160,22 @@ def validate_snapshot_times(snapshot_times, total_steps: int) -> list[int]:
     return times
 
 
-def run_walk(state, total_steps, snapshot_times, observer, snapshot_fn):
+def run_walk(state, total_steps, snapshot_times):
     """Advance `state` by total_steps, collecting snapshots at the given times.
 
-    `state` exposes step(); snapshot_fn turns it into a PositionDistribution.
-    Returns [(time, distribution), ...] in time order.
+    Snapshot times count from the state's current time; each distribution
+    carries the absolute time.  Returns [(time, PositionDistribution), ...]
+    in time order.
     """
     if total_steps < 0:
         raise ValueError(f"total_steps must be >= 0, got {total_steps}")
     times = validate_snapshot_times(snapshot_times, total_steps)
-    pending = iter(times)
-    next_time = next(pending, None)
+    start = state.time
     collected = []
-
-    def maybe_snapshot(t):
-        nonlocal next_time
-        if next_time == t:
-            dist = snapshot_fn(state)
-            if observer is not None:
-                observer(dist)
-            collected.append((t, dist))
-            next_time = next(pending, None)
-
-    maybe_snapshot(0)
-    for t in range(1, total_steps + 1):
+    for t in times:
+        for _ in range(start + t - state.time):
+            state.step()
+        collected.append((t, observables.position_distribution(state)))
+    for _ in range(start + total_steps - state.time):
         state.step()
-        maybe_snapshot(t)
     return collected

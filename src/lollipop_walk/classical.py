@@ -10,7 +10,7 @@ growth and the step loop are the shared two-buffer engine in `_driver`.
 from __future__ import annotations
 
 from . import _driver
-from .topology import CycleNode, HalfLineNode, LollipopTopology, Site
+from .topology import HalfLineNode, LollipopTopology, Site
 
 _THIRD = 1.0 / 3.0
 
@@ -24,17 +24,22 @@ class ClassicalDistribution(_driver.TwoBufferWalk):
     """
 
     _COMPONENTS = 1
+    SOURCE = "classical"
+
+    @staticmethod
+    def _slot(topology, site, coin):
+        topology.coins_at(site)  # validates the site; there are no coins
+        return isinstance(site, HalfLineNode), 0, site.index
 
     def probability(self, site: Site) -> float:
-        self.topology.coins_at(site)  # validates the site
-        if isinstance(site, CycleNode):
-            return float(self._cycle[0][site.index])
-        if site.index > self.extent:
-            return 0.0
-        return float(self._ray[0][site.index])
+        return self._value(site)
 
     def total_mass(self) -> float:
         return float(self._cycle[0].sum() + self._ray[0].sum())
+
+    def _site_probabilities(self):
+        (cycle,), (ray,) = self._cycle, self._ray
+        return cycle.copy(), ray.copy()
 
     def _rule(self, cycle, ray, new_cycle, new_ray, m) -> None:
         n = self.topology.cycle_size
@@ -62,26 +67,11 @@ def make_point_distribution(
     topology: LollipopTopology, site: Site
 ) -> ClassicalDistribution:
     """Distribution at time 0 with all mass on one site."""
-    topology.coins_at(site)  # validates the site
-    if isinstance(site, HalfLineNode):
-        dist = ClassicalDistribution(topology, extent=site.index + 1)
-        dist._frontier = site.index
-        dist._ray[0][site.index] = 1.0
-        return dist
-    dist = ClassicalDistribution(topology)
-    dist._cycle[0][site.index] = 1.0
-    return dist
+    return ClassicalDistribution._launch(topology, site)
 
 
 def evolve_classical(
-    dist: ClassicalDistribution,
-    total_steps: int,
-    snapshot_times=(),
-    observer=None,
+    dist: ClassicalDistribution, total_steps: int, snapshot_times=()
 ):
     """Classical counterpart of evolve_quantum; same snapshot contract."""
-    from .observables import position_distribution
-
-    return _driver.run_walk(
-        dist, total_steps, snapshot_times, observer, position_distribution
-    )
+    return _driver.run_walk(dist, total_steps, snapshot_times)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 i/o error, 3 tolerance failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -405,7 +406,7 @@ def _build_parser() -> _Parser:
         "--tolerance",
         type=float,
         default=None,
-        help="override every numeric tolerance with one value",
+        help="override every numeric tolerance with one finite value >= 0",
     )
 
     oracle_p = sub.add_parser(
@@ -444,6 +445,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
+        raise ConfigError(
+            f"tolerance must be a finite number >= 0, got {args.tolerance}"
+        )
     report = compute_tables_report(
         progress=lambda msg: print(msg, file=sys.stderr)
     )

@@ -7,9 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalDistribution
-from .quantum import WalkerState
-
 
 class EmptyHalfLineError(ValueError):
     """Raised when a half-line statistic is requested but the half-line is empty."""
@@ -49,23 +46,13 @@ class SummaryRecord:
 
 
 def position_distribution(state) -> PositionDistribution:
-    """Site marginal of a quantum state, or pass-through of classical masses.
+    """Probability of each site of a walk state, at the state's time.
 
-    Quantum site probability is the squared amplitude summed over the site's
-    coin states; the junction sums its L, R, and Down components.
+    The engine computes the marginal: squared amplitudes summed over each
+    site's coin states (quantum), or a copy of the site masses (classical).
     """
-    if isinstance(state, WalkerState):
-        left, right = state._cycle
-        down, up = state._ray
-        cycle = left**2 + right**2
-        halfline = down**2 + up**2
-        cycle[0] += halfline[0]
-        halfline[0] = 0.0
-        return PositionDistribution(state.time, cycle, halfline, "quantum")
-    if isinstance(state, ClassicalDistribution):
-        (cycle,), (ray,) = state._cycle, state._ray
-        return PositionDistribution(state.time, cycle.copy(), ray.copy(), "classical")
-    raise TypeError(f"not a walk state: {state!r}")
+    cycle, halfline = state._site_probabilities()
+    return PositionDistribution(state.time, cycle, halfline, state.SOURCE)
 
 
 def cycle_total(dist: PositionDistribution) -> float:

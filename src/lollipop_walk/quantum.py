@@ -20,7 +20,14 @@ import math
 import numpy as np
 
 from . import _driver
-from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
+from .topology import (
+    CYCLE_COINS,
+    HALFLINE_COINS,
+    Coin,
+    HalfLineNode,
+    LollipopTopology,
+    Site,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -34,25 +41,34 @@ class WalkerState(_driver.TwoBufferWalk):
     """
 
     _COMPONENTS = 2
+    SOURCE = "quantum"
+
+    @staticmethod
+    def _slot(topology, site, coin):
+        topology.check_state(site, coin)
+        # the junction's Down coin is index 0 of the Down array
+        if isinstance(site, HalfLineNode) or coin is Coin.DOWN:
+            return True, HALFLINE_COINS.index(coin), site.index
+        return False, CYCLE_COINS.index(coin), site.index
 
     def amplitude(self, site: Site, coin: Coin) -> float:
         """Amplitude of one basis state (0 for half-line sites past the buffer)."""
-        self.topology.check_state(site, coin)
-        left, right = self._cycle
-        down, up = self._ray
-        if isinstance(site, CycleNode):
-            if coin is Coin.LEFT:
-                return float(left[site.index])
-            if coin is Coin.RIGHT:
-                return float(right[site.index])
-            return float(down[0])
-        if site.index > self.extent:
-            return 0.0
-        return float((down if coin is Coin.DOWN else up)[site.index])
+        return self._value(site, coin)
 
     def norm(self) -> float:
         """Euclidean norm of the full amplitude vector."""
         return math.sqrt(sum(float(np.dot(a, a)) for a in self._cycle + self._ray))
+
+    def _site_probabilities(self):
+        """Squared amplitudes summed over each site's coin states; the
+        junction sums its L, R and Down components."""
+        left, right = self._cycle
+        down, up = self._ray
+        cycle = left**2 + right**2
+        halfline = down**2 + up**2
+        cycle[0] += halfline[0]
+        halfline[0] = 0.0
+        return cycle, halfline
 
     def _rule(self, cycle, ray, new_cycle, new_ray, m) -> None:
         n = self.topology.cycle_size
@@ -91,34 +107,15 @@ def make_basis_state(
     topology: LollipopTopology, site: Site, coin: Coin
 ) -> WalkerState:
     """Walker at time 0 with amplitude 1 on a single (site, coin) state."""
-    topology.check_state(site, coin)
-    if isinstance(site, HalfLineNode):
-        state = WalkerState(topology, extent=site.index + 1)
-        state._frontier = site.index
-        state._ray[0 if coin is Coin.DOWN else 1][site.index] = 1.0
-        return state
-    state = WalkerState(topology)
-    if coin is Coin.DOWN:
-        state._ray[0][0] = 1.0
-    else:
-        state._cycle[0 if coin is Coin.LEFT else 1][site.index] = 1.0
-    return state
+    return WalkerState._launch(topology, site, coin)
 
 
-def evolve_quantum(
-    state: WalkerState,
-    total_steps: int,
-    snapshot_times=(),
-    observer=None,
-):
+def evolve_quantum(state: WalkerState, total_steps: int, snapshot_times=()):
     """Apply total_steps steps, snapshotting the position distribution.
 
-    snapshot_times must be strictly increasing and within [0, total_steps];
-    time 0 means the state before any step.  Each snapshot is handed to
-    `observer` (if given) and collected.  Returns [(time, PositionDistribution)].
+    snapshot_times must be strictly increasing and within [0, total_steps],
+    counted from the state's current time; 0 means the state before any
+    step.  Returns [(time, PositionDistribution)], each distribution
+    stamped with the absolute time.
     """
-    from .observables import position_distribution
-
-    return _driver.run_walk(
-        state, total_steps, snapshot_times, observer, position_distribution
-    )
+    return _driver.run_walk(state, total_steps, snapshot_times)

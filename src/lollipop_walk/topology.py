@@ -69,17 +69,6 @@ class LollipopTopology:
         if self.cycle_size < 3:
             raise ValueError(f"cycle_size must be >= 3, got {self.cycle_size}")
 
-    @property
-    def junction(self) -> CycleNode:
-        return CycleNode(0)
-
-    def cycle(self, k: int) -> CycleNode:
-        """Cycle node [k], reduced mod cycle_size at construction."""
-        return CycleNode(k % self.cycle_size)
-
-    def half_line(self, x: int) -> HalfLineNode:
-        return HalfLineNode(x)
-
     def coins_at(self, site: Site) -> tuple[Coin, ...]:
         """The coin states admitted at `site`, in fixed order."""
         if isinstance(site, CycleNode):

@@ -479,6 +479,16 @@ def test_tables_command_exit_codes(monkeypatch, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_tables_rejects_bad_tolerance_before_running(monkeypatch, capsys, tolerance):
+    def no_walk(progress=None):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr(cli, "compute_tables_report", no_walk)
+    assert main(["tables", "--tolerance", tolerance]) == 1
+    assert capsys.readouterr().err.startswith("error: tolerance")
+
+
 def test_tables_report_shape():
     report = fake_report()
     assert isinstance(report, TablesReport)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lollipop_walk import (
     Coin,
@@ -8,7 +9,9 @@ from lollipop_walk import (
     LollipopTopology,
     build_dense_stochastic,
     build_dense_unitary,
+    cli,
     compare_step,
+    make_point_distribution,
     site_index,
     unitarity_defect,
 )
@@ -155,3 +158,52 @@ def test_compare_step_independent_of_growth_schedule():
 def test_long_agreement_window():
     # the dense product and the rule engine track each other over 50 steps
     assert compare_step(LollipopTopology(5), 60, 50) <= 1e-12
+
+
+
+@st.composite
+def launches(draw, region):
+    """(topology, site, x_max, steps) for a launch at the junction, at another
+    cycle node or at half-line sites 1..5, with steps inside the light cone:
+    the support never reaches the truncation edge."""
+    n = draw(st.integers(3, 12))
+    if region == "junction":
+        site = CycleNode(0)
+    elif region == "cycle":
+        site = CycleNode(draw(st.integers(1, n - 1)))
+    else:
+        site = HalfLineNode(draw(st.integers(1, 5)))
+    offset = site.index if region == "half" else 0
+    x_max = draw(st.integers(offset + 2, 30))
+    return LollipopTopology(n), site, x_max, draw(st.integers(0, x_max - 2 - offset))
+
+
+@pytest.mark.parametrize("region", ["junction", "cycle", "half"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_classical_engine_matches_dense_stochastic(region, data):
+    topo, site, x_max, steps = data.draw(launches(region))
+    op = build_dense_stochastic(topo, x_max)
+    vec = np.zeros(op.dimension)
+    vec[site_index(topo, x_max, site)] = 1.0
+    dist = make_point_distribution(topo, site)
+    for _ in range(steps):
+        vec = op.entries @ vec
+        dist.step()
+    sites = [CycleNode(k) for k in range(topo.cycle_size)]
+    sites += [HalfLineNode(x) for x in range(1, x_max + 1)]
+    for s in sites:
+        assert abs(dist.probability(s) - vec[site_index(topo, x_max, s)]) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "region,coin",
+    [("cycle", Coin.LEFT), ("cycle", Coin.RIGHT), ("junction", Coin.LEFT),
+     ("junction", Coin.RIGHT), ("junction", Coin.DOWN), ("half", Coin.DOWN),
+     ("half", Coin.UP)],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_quantum_engine_matches_dense_unitary(region, coin, data):
+    topo, site, x_max, steps = data.draw(launches(region))
+    assert compare_step(topo, x_max, steps, site, coin) <= cli.MISMATCH_LIMIT

@@ -229,14 +229,6 @@ def test_evolve_returns_time_ordered_snapshots(topo):
     assert [d.time for _, d in snaps] == [0, 3, 7, 10]
 
 
-def test_evolve_observer_sees_every_snapshot(topo):
-    state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
-    seen = []
-    snaps = evolve_quantum(state, 5, [1, 4], observer=seen.append)
-    assert [d.time for d in seen] == [1, 4]
-    assert [d for _, d in snaps] == seen
-
-
 def test_evolve_rejects_bad_snapshot_times(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     with pytest.raises(ValueError):

@@ -84,13 +84,6 @@ def test_invalid_coin_on_cycle_and_halfline():
         topo.check_state(HalfLineNode(2), Coin.LEFT)
 
 
-def test_cycle_factory_reduces_mod_n():
-    topo = LollipopTopology(25)
-    assert topo.cycle(27) == CycleNode(2)
-    assert topo.cycle(-1) == CycleNode(24)
-    assert topo.cycle(0) == topo.junction
-
-
 def test_site_validation():
     with pytest.raises(ValueError):
         HalfLineNode(0)
