@@ -1,10 +1,13 @@
 """Shared two-buffer engine and snapshot-collection loop for the two walks.
 
-Both walks live on the same graph and share one storage scheme: a fixed
-length-n cycle part and a half-line buffer that grows geometrically ahead
-of the walker's frontier.  After t steps from a site at offset x the
-support cannot pass half-line site x + t, so a buffer that long would hold
-the infinite half-line exactly.
+Both walks live on the same graph and share one storage scheme: the graph
+unrolled into one row, with the n cycle nodes in columns 0..n-1 (column 0
+is the junction) and half-line site x in column n + x.  Away from the
+junction both walks are a nearest-neighbour stencil along that row, so one
+array pass per direction steps the cycle and the half-line together.  The
+half-line part grows geometrically ahead of the walker's frontier.  After
+t steps from a site at offset x the support cannot pass half-line site
+x + t, so a row that long would hold the infinite half-line exactly.
 
 Far ahead of the walker the values fall below the smallest normal double
 `tiny` (2.2e-308): classical masses underflow to exact zeros, while quantum
@@ -33,30 +36,29 @@ import numpy as np
 from . import observables
 
 _MIN_EXTENT = 2
-# steps between tail trims; a trim scans the ray buffers, which costs about
-# as much as one step
+# steps between tail trims; a trim scans the half-line columns, which
+# costs about as much as one step
 _TRIM_PERIOD = 64
 _TINY = np.finfo(np.float64).tiny
 
 
 class TwoBufferWalk:
-    """Real-valued walk state stepped by a stencil rule via back buffers.
+    """Real-valued walk state stepped by a stencil rule via a back buffer.
 
-    `_cycle` and `_ray` are tuples of float64 arrays, one per component:
-    cycle arrays have length n with index 0 the junction, ray arrays are
-    indexed by half-line site.  A subclass supplies
+    `_values` is a float64 array of shape (components, n + extent + 1):
+    column k < n is cycle node [k], column n + x is half-line site x.
+    `_back` has the same shape and receives each step.  A subclass supplies
 
-    - `_COMPONENTS`: the number of arrays per region;
+    - `_COMPONENTS`: the number of rows;
     - `SOURCE`: the walk's name ("quantum" or "classical"), carried by its
       snapshots;
-    - `_slot(topology, site, coin) -> (on_ray, component, index)`: where
-      the value of one (site, coin) basis state lives, raising ValueError
+    - `_slot(topology, site, coin) -> (component, column)`: where the
+      value of one (site, coin) basis state lives, raising ValueError
       unless the topology admits it;
-    - `_rule(cycle, ray, new_cycle, new_ray, m)`: writes the next state into
-      the `new_*` arrays from the current ones, where m bounds the largest
-      occupied half-line site; the ray arrays reach at least index m + 2.
-      Entries of `new_ray` past m + 1 are zero already and are left alone;
-      the tail trim keeps that so;
+    - `_rule(values, new, m)`: writes the next state into `new` from
+      `values`, where m bounds the largest occupied half-line site; both
+      reach at least column n + m + 2.  Columns of `new` past n + m + 1
+      are zero already and are left alone; the tail trim keeps that so;
     - `_site_probabilities() -> (cycle, halfline)`: fresh arrays of the
       probability at each cycle node and half-line site, with half-line
       index 0 zero (the junction counts on the cycle).
@@ -64,71 +66,63 @@ class TwoBufferWalk:
 
     def __init__(self, topology, extent: int = _MIN_EXTENT):
         extent = max(int(extent), _MIN_EXTENT)
-        n = topology.cycle_size
-        k = self._COMPONENTS
+        shape = (self._COMPONENTS, topology.cycle_size + extent + 1)
         self.topology = topology
         self.time = 0
-        self._cycle = tuple(np.zeros(n) for _ in range(k))
-        self._ray = tuple(np.zeros(extent + 1) for _ in range(k))
-        self._cycle_back = tuple(np.zeros(n) for _ in range(k))
-        self._ray_back = tuple(np.zeros(extent + 1) for _ in range(k))
+        self._values = np.zeros(shape)
+        self._back = np.zeros(shape)
         # upper bound on the largest occupied half-line site
         self._frontier = 0
 
     @classmethod
     def _launch(cls, topology, site, coin=None):
         """State at time 0 holding 1.0 in the slot of one basis state."""
-        on_ray, component, index = cls._slot(topology, site, coin)
-        state = cls(topology, index + 1 if on_ray else _MIN_EXTENT)
-        if on_ray:
-            state._frontier = index
-        (state._ray if on_ray else state._cycle)[component][index] = 1.0
+        component, column = cls._slot(topology, site, coin)
+        frontier = max(column - topology.cycle_size, 0)
+        state = cls(topology, frontier + 1)
+        state._frontier = frontier
+        state._values[component, column] = 1.0
         return state
 
     def _value(self, site, coin=None) -> float:
         """Value of one basis state; 0.0 for half-line sites past the buffer."""
-        on_ray, component, index = self._slot(self.topology, site, coin)
-        values = (self._ray if on_ray else self._cycle)[component]
-        return float(values[index]) if index < values.size else 0.0
+        component, column = self._slot(self.topology, site, coin)
+        row = self._values[component]
+        return float(row[column]) if column < row.size else 0.0
 
     @property
     def extent(self) -> int:
         """Largest half-line site currently representable."""
-        return len(self._ray[0]) - 1
+        return self._values.shape[1] - self.topology.cycle_size - 1
 
     def copy(self):
         dup = type(self)(self.topology, self.extent)
         dup.time = self.time
         dup._frontier = self._frontier
-        for mine, theirs in zip(self._cycle + self._ray, dup._cycle + dup._ray):
-            theirs[:] = mine
+        dup._values[:] = self._values
         return dup
 
     def reserve(self, min_extent: int) -> None:
-        """Grow the half-line buffers so that `extent >= min_extent`.
+        """Grow the half-line part so that `extent >= min_extent`.
 
         Newly exposed sites hold exact zeros.  Growth is at least a doubling,
         so repeated stepping stays amortized O(1) per site update.
         """
         if min_extent <= self.extent:
             return
-        new_extent = max(2 * self.extent, min_extent)
-        grown = []
-        for old in self._ray:
-            fresh = np.zeros(new_extent + 1)
-            fresh[: old.size] = old
-            grown.append(fresh)
-        self._ray = tuple(grown)
-        self._ray_back = tuple(np.zeros(new_extent + 1) for _ in grown)
+        width = self.topology.cycle_size + max(2 * self.extent, min_extent) + 1
+        old = self._values
+        self._values = np.zeros((old.shape[0], width))
+        self._values[:, : old.shape[1]] = old
+        self._back = np.zeros_like(self._values)
 
     def step(self) -> None:
-        """Apply one walk step into the back buffers, then swap them in."""
+        """Apply one walk step into the back buffer, then swap it in."""
         m = self._frontier
         if m + 2 > self.extent:
             self.reserve(m + 2)
-        self._rule(self._cycle, self._ray, self._cycle_back, self._ray_back, m)
-        self._cycle, self._cycle_back = self._cycle_back, self._cycle
-        self._ray, self._ray_back = self._ray_back, self._ray
+        self._rule(self._values, self._back, m)
+        self._values, self._back = self._back, self._values
         self._frontier = m + 1
         self.time += 1
         if self.time % _TRIM_PERIOD == 0:
@@ -138,14 +132,12 @@ class TwoBufferWalk:
         """Move the frontier back to the last half-line site where some
         component is at least the smallest normal double, zeroing the
         contiguous tail past it in the front and back buffers alike."""
-        m = self._frontier
-        live = np.abs(self._ray[0][: m + 1]) >= _TINY
-        for a in self._ray[1:]:
-            live |= np.abs(a[: m + 1]) >= _TINY
+        n, m = self.topology.cycle_size, self._frontier
+        live = (np.abs(self._values[:, n : n + m + 1]) >= _TINY).any(axis=0)
         sites = np.flatnonzero(live)
         keep = int(sites[-1]) if sites.size else 0
-        for a in self._ray + self._ray_back:
-            a[keep + 1 : m + 2] = 0.0
+        self._values[:, n + keep + 1 : n + m + 2] = 0.0
+        self._back[:, n + keep + 1 : n + m + 2] = 0.0
         self._frontier = keep
 
 

@@ -18,9 +18,9 @@ _THIRD = 1.0 / 3.0
 class ClassicalDistribution(_driver.TwoBufferWalk):
     """Site-probability vector of the classical walker.
 
-    Coins do not exist classically, so there is one component per region:
-    a length-n cycle array (index 0 = junction) plus a half-line array
-    whose index 0 is unused.
+    Coins do not exist classically, so there is one row: the mass of cycle
+    node [k] in column k and of half-line site x in column n + x; column n,
+    half-line site 0, is unused and stays zero.
     """
 
     _COMPONENTS = 1
@@ -29,38 +29,38 @@ class ClassicalDistribution(_driver.TwoBufferWalk):
     @staticmethod
     def _slot(topology, site, coin):
         topology.coins_at(site)  # validates the site; there are no coins
-        return isinstance(site, HalfLineNode), 0, site.index
+        offset = topology.cycle_size if isinstance(site, HalfLineNode) else 0
+        return 0, offset + site.index
 
     def probability(self, site: Site) -> float:
         return self._value(site)
 
     def total_mass(self) -> float:
-        return float(self._cycle[0].sum() + self._ray[0].sum())
+        return float(self._values.sum())
 
     def _site_probabilities(self):
-        (cycle,), (ray,) = self._cycle, self._ray
-        return cycle.copy(), ray.copy()
-
-    def _rule(self, cycle, ray, new_cycle, new_ray, m) -> None:
+        row = self._values[0].copy()
         n = self.topology.cycle_size
-        (c,), (r,) = cycle, ray
-        (nc,), (nr,) = new_cycle, new_ray
-        half = 0.5 * c
-        rr = 0.5 * r
-        c0 = c[0]
+        return row[:n], row[n:]
 
-        # cycle, gathered at the target node
-        nc[0 : n - 1] = half[1:n]          # from the clockwise neighbor [k+1]
-        nc[n - 1] = _THIRD * c0            # junction's share to [n-1]
-        nc[2:n] += half[1 : n - 1]         # from the counter-clockwise neighbor [k-1]
-        nc[0] += half[n - 1] + rr[1]       # wrap-around plus inflow from ray site 1
-        nc[1] += _THIRD * c0               # junction's share to [1]
+    def _rule(self, values, new, m) -> None:
+        n = self.topology.cycle_size
+        (v,), (nv,) = values, new
+        half = 0.5 * v[: n + m + 3]
+        third = _THIRD * v[0]
 
-        # half-line
-        nr[: m + 2] = 0.0
-        nr[2 : m + 2] = rr[1 : m + 1]      # from the inner neighbor x-1
-        nr[1:m] += rr[2 : m + 1]           # from the outer neighbor x+1
-        nr[1] += _THIRD * c0               # junction's share to site 1
+        # half to each neighbour, gathered at the target column; the
+        # junction's column 0 sends nothing along the row
+        nv[0 : n + m + 2] = half[1 : n + m + 3]   # from the higher column
+        nv[2 : n + m + 2] += half[1 : n + m + 1]  # from the lower column
+
+        # rewire the junction and the seam between [n-1] and half-line site 0:
+        # the junction sends a third each to [1], [n-1] and half-line site 1
+        nv[0] += half[n - 1] + half[n + 1]        # wrap-around plus half-line site 1
+        nv[1] += third
+        nv[n - 1] += third
+        nv[n + 1] += third
+        nv[n] = 0.0
 
 
 def make_point_distribution(

@@ -35,9 +35,11 @@ from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
 
 MODELS = ("quantum", "classical")
 FORMATS = ("csv", "json", "svg")
-# Largest half-line buffer a run may need (launch offset + steps + 2 sites),
-# and largest cycle.  At 64 B per site after doubling, quantum half-line
-# buffers stay near 640 MB; a cycle this size takes 320 MB.
+# Largest half-line a run may need (launch offset + steps + 2 sites), and
+# largest cycle.  Each walk stores cycle and half-line in one row of columns
+# per component, in a front and a back buffer: 32 B per quantum column, so
+# after doubling the half-line part stays near 640 MB and a cycle this size
+# takes 320 MB.
 MAX_HALFLINE_SITES = 10**7
 # Largest dense operator `oracle-check` builds (2n + 1 + 2 x_max basis
 # states): each of its few dense matrices then takes 32 MiB.
@@ -85,22 +87,17 @@ class RunConfig:
         if unknown or not self.formats:
             raise ConfigError(f"formats must be a non-empty subset of {FORMATS}")
         topology = LollipopTopology(self.cycle_size)
-        if isinstance(self.start_site, CycleNode):
-            if self.start_site.index >= self.cycle_size:
-                raise ConfigError(
-                    f"cycle start {self.start_site.index} out of range for "
-                    f"n={self.cycle_size}"
-                )
-        if self.model == "classical":
-            if self.start_coin is not None:
-                raise ConfigError("classical runs take no start coin")
-        else:
-            if self.start_coin is None:
-                raise ConfigError("quantum runs need a start coin (e.g. cycle:12:R)")
-            try:
+        if self.model == "classical" and self.start_coin is not None:
+            raise ConfigError("classical runs take no start coin")
+        if self.model == "quantum" and self.start_coin is None:
+            raise ConfigError("quantum runs need a start coin (e.g. cycle:12:R)")
+        try:
+            if self.model == "classical":
+                topology.coins_at(self.start_site)
+            else:
                 topology.check_state(self.start_site, self.start_coin)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _COIN_LETTERS = {"L": Coin.LEFT, "R": Coin.RIGHT, "D": Coin.DOWN, "U": Coin.UP}
@@ -361,7 +358,11 @@ def _comma_ints(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+        # argparse prints this error's text; for a ValueError it would print
+        # "invalid _comma_ints value" instead
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}"
+        )
 
 
 def _build_parser() -> _Parser:

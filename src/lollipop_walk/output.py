@@ -19,6 +19,7 @@ always are); `indent` would force json's pure-Python encoder.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -84,38 +85,26 @@ def write_distribution_json(path: Path, dist: PositionDistribution) -> None:
     )
 
 
-def _record_dict(rec: SummaryRecord) -> dict:
-    return {
-        "time": rec.time,
-        "cycle_total": rec.cycle_total,
-        "halfline_total": rec.halfline_total,
-        "spike_site": rec.spike_site,
-        "spike_height": rec.spike_height,
-        "halfline_mean": rec.halfline_mean,
-        "halfline_std": rec.halfline_std,
-    }
-
-
 SUMMARY_HEADER = (
     "time,cycle_total,halfline_total,spike_site,spike_height,halfline_mean,halfline_std"
 )
 
 
 def write_summary_csv(path: Path, records: list[SummaryRecord]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for r in records:
-            mean = "" if r.halfline_mean is None else format_probability(r.halfline_mean)
-            std = "" if r.halfline_std is None else format_probability(r.halfline_std)
-            fh.write(
-                f"{r.time},{format_probability(r.cycle_total)},"
-                f"{format_probability(r.halfline_total)},{r.spike_site},"
-                f"{format_probability(r.spike_height)},{mean},{std}\n"
-            )
+    lines = [SUMMARY_HEADER]
+    for r in records:
+        mean = "" if r.halfline_mean is None else format_probability(r.halfline_mean)
+        std = "" if r.halfline_std is None else format_probability(r.halfline_std)
+        lines.append(
+            f"{r.time},{format_probability(r.cycle_total)},"
+            f"{format_probability(r.halfline_total)},{r.spike_site},"
+            f"{format_probability(r.spike_height)},{mean},{std}"
+        )
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_summary_json(path: Path, records: list[SummaryRecord]) -> None:
-    payload = {"summaries": [_record_dict(r) for r in records]}
+    payload = {"summaries": [asdict(r) for r in records]}
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -35,9 +35,10 @@ SQRT_HALF = math.sqrt(0.5)
 class WalkerState(_driver.TwoBufferWalk):
     """Real amplitudes of the quantum walker over (site, coin) basis states.
 
-    The cycle components are (Left, Right), each a length-n array; the
-    half-line components are (Down, Up), indexed by site, where index 0 of
-    Down is the junction's Down coin and index 0 of Up is structurally zero.
+    Row 0 holds the coins that move to the lower column (Left on the cycle,
+    Down on the half-line), row 1 those that move to the higher one (Right,
+    Up).  Column n, half-line site 0, holds the junction's Down coin in row
+    0 and is structurally zero in row 1.
     """
 
     _COMPONENTS = 2
@@ -46,10 +47,10 @@ class WalkerState(_driver.TwoBufferWalk):
     @staticmethod
     def _slot(topology, site, coin):
         topology.check_state(site, coin)
-        # the junction's Down coin is index 0 of the Down array
+        # the junction's Down coin is half-line site 0
         if isinstance(site, HalfLineNode) or coin is Coin.DOWN:
-            return True, HALFLINE_COINS.index(coin), site.index
-        return False, CYCLE_COINS.index(coin), site.index
+            return HALFLINE_COINS.index(coin), topology.cycle_size + site.index
+        return CYCLE_COINS.index(coin), site.index
 
     def amplitude(self, site: Site, coin: Coin) -> float:
         """Amplitude of one basis state (0 for half-line sites past the buffer)."""
@@ -57,50 +58,44 @@ class WalkerState(_driver.TwoBufferWalk):
 
     def norm(self) -> float:
         """Euclidean norm of the full amplitude vector."""
-        return math.sqrt(sum(float(np.dot(a, a)) for a in self._cycle + self._ray))
+        return math.sqrt(float(np.vdot(self._values, self._values)))
 
     def _site_probabilities(self):
         """Squared amplitudes summed over each site's coin states; the
         junction sums its L, R and Down components."""
-        left, right = self._cycle
-        down, up = self._ray
-        cycle = left**2 + right**2
-        halfline = down**2 + up**2
+        n = self.topology.cycle_size
+        lower, upper = self._values
+        probs = lower**2 + upper**2
+        cycle, halfline = probs[:n], probs[n:]
         cycle[0] += halfline[0]
         halfline[0] = 0.0
         return cycle, halfline
 
-    def _rule(self, cycle, ray, new_cycle, new_ray, m) -> None:
+    def _rule(self, values, new, m) -> None:
         n = self.topology.cycle_size
-        cl, cr = cycle
-        d, u = ray
-        ncl, ncr = new_cycle
-        nd, nu = new_ray
+        a, b = values
+        na, nb = new
 
         # junction: Grover coin over (L, R, Down), routed to [n-1]L, [1]R, (1)Up;
         # times the rounded 1/3, not / 3: the golden artifact digests pin it
-        l0, r0, d0 = cl[0], cr[0], d[0]
+        l0, r0, d0 = a[0], b[0], a[n]
         to_left = (2.0 * (r0 + d0) - l0) * (1.0 / 3.0)
         to_right = (2.0 * (l0 + d0) - r0) * (1.0 / 3.0)
         to_up = (2.0 * (l0 + r0) - d0) * (1.0 / 3.0)
 
-        # cycle, gathered at the target: [k]L <- [k+1], [k]R <- [k-1]
-        np.add(cl[1:n], cr[1:n], out=ncl[0 : n - 1])
-        ncl[0 : n - 1] *= SQRT_HALF
-        np.subtract(cl[1 : n - 1], cr[1 : n - 1], out=ncr[2:n])
-        ncr[2:n] *= SQRT_HALF
-        ncr[0] = SQRT_HALF * (cl[n - 1] - cr[n - 1])
-        ncl[n - 1] = to_left
-        ncr[1] = to_right
+        # Hadamard stencil gathered at the target column:
+        # Left/Down [c] <- [c+1], Right/Up [c] <- [c-1]
+        np.add(a[1 : n + m + 3], b[1 : n + m + 3], out=na[0 : n + m + 2])
+        na[0 : n + m + 2] *= SQRT_HALF
+        np.subtract(a[0 : n + m + 1], b[0 : n + m + 1], out=nb[1 : n + m + 2])
+        nb[1 : n + m + 2] *= SQRT_HALF
 
-        # half-line: (x)Down <- x+1, (x)Up <- x-1; index 0 of Down is the junction
-        np.add(d[1 : m + 1], u[1 : m + 1], out=nd[0:m])
-        nd[0:m] *= SQRT_HALF
-        np.subtract(d[1 : m + 1], u[1 : m + 1], out=nu[2 : m + 2])
-        nu[2 : m + 2] *= SQRT_HALF
-        nd[m : m + 2] = 0.0
-        nu[0] = 0.0
-        nu[1] = to_up
+        # rewire the junction and the seam between [n-1] and half-line site 0
+        na[n - 1] = to_left
+        nb[0] = nb[n]  # the wrap [n-1] -> [0]R, which the pass put at column n
+        nb[1] = to_right
+        nb[n] = 0.0
+        nb[n + 1] = to_up
 
 
 def make_basis_state(

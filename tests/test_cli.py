@@ -87,6 +87,7 @@ def test_validate_accepts_good_config(tmp_path):
         {"start_site": CycleNode(12), "start_coin": Coin.UP},
         {"start_site": HalfLineNode(2), "start_coin": Coin.LEFT},
         {"model": "classical", "start_coin": Coin.RIGHT},
+        {"model": "classical", "start_coin": None, "start_site": CycleNode(25)},
     ],
 )
 def test_validate_rejections(tmp_path, overrides):
@@ -347,6 +348,15 @@ def test_usage_errors_exit_1(argv, capsys, tmp_path):
     argv = [str(tmp_path / a) if a == "o" else a for a in argv]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_snapshot_list_error_states_the_expected_form(capsys, tmp_path):
+    out = tmp_path / "out"
+    assert main(run_args(out, snapshots="1,x")) == 1
+    err = capsys.readouterr().err
+    assert "expected a comma-separated integer list, got '1,x'" in err
+    assert "_comma_ints" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

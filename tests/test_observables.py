@@ -47,9 +47,10 @@ def test_marginal_of_fresh_state(topo):
 def test_junction_sums_three_coin_components(topo):
     a, b, c = 0.5, -0.5, math.sqrt(0.5)
     state = make_basis_state(topo, CycleNode(0), Coin.LEFT)
-    state._cycle[0][0] = a  # test-only superposition at the junction
-    state._cycle[1][0] = b
-    state._ray[0][0] = c
+    # test-only superposition of the junction's L, R and Down coins
+    state._values[0, 0] = a
+    state._values[1, 0] = b
+    state._values[0, topo.cycle_size] = c  # Down lives at half-line site 0
     dist = position_distribution(state)
     assert dist.cycle_probs[0] == pytest.approx(a * a + b * b + c * c, abs=1e-15)
     assert dist.halfline_probs[0] == 0.0  # site 0 belongs to the cycle

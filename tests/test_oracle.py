@@ -11,6 +11,7 @@ from lollipop_walk import (
     build_dense_unitary,
     cli,
     compare_step,
+    make_basis_state,
     make_point_distribution,
     site_index,
     unitarity_defect,
@@ -207,3 +208,53 @@ def test_classical_engine_matches_dense_stochastic(region, data):
 def test_quantum_engine_matches_dense_unitary(region, coin, data):
     topo, site, x_max, steps = data.draw(launches(region))
     assert compare_step(topo, x_max, steps, site, coin) <= cli.MISMATCH_LIMIT
+
+
+# Both engines store the graph as one row: cycle nodes, then the half-line
+# from site 0.  At n = 3 the junction's neighbour columns 1 and n - 1 and the
+# seam column n (half-line site 0) are adjacent, which the draws above do
+# not guarantee to reach.
+SEAM_STEPS = 27
+SEAM_X_MAX = SEAM_STEPS + 4  # launch offset 2 + steps < x_max - 1
+
+
+def seam_sites(topo):
+    """Every cycle node and half-line sites 1 and 2."""
+    return [CycleNode(k) for k in range(topo.cycle_size)] + [
+        HalfLineNode(1), HalfLineNode(2)
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quantum_engine_matches_dense_unitary_at_every_step_near_the_seam(n):
+    topo = LollipopTopology(n)
+    op = build_dense_unitary(topo, SEAM_X_MAX)
+    basis = [topo.inverse_index(SEAM_X_MAX, i) for i in range(op.dimension)]
+    for site in seam_sites(topo):
+        for coin in topo.coins_at(site):
+            vec = np.zeros(op.dimension)
+            vec[topo.flat_index(SEAM_X_MAX, site, coin)] = 1.0
+            state = make_basis_state(topo, site, coin)
+            for _ in range(SEAM_STEPS):
+                vec = op.entries @ vec
+                state.step()
+                got = np.array([state.amplitude(s, c) for s, c in basis])
+                assert np.abs(got - vec).max() <= cli.MISMATCH_LIMIT
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_classical_engine_matches_dense_stochastic_at_every_step_near_the_seam(n):
+    topo = LollipopTopology(n)
+    op = build_dense_stochastic(topo, SEAM_X_MAX)
+    sites = [CycleNode(k) for k in range(n)]
+    sites += [HalfLineNode(x) for x in range(1, SEAM_X_MAX + 1)]
+    rows = [site_index(topo, SEAM_X_MAX, s) for s in sites]
+    for site in seam_sites(topo):
+        vec = np.zeros(op.dimension)
+        vec[site_index(topo, SEAM_X_MAX, site)] = 1.0
+        dist = make_point_distribution(topo, site)
+        for _ in range(SEAM_STEPS):
+            vec = op.entries @ vec
+            dist.step()
+            got = np.array([dist.probability(s) for s in sites])
+            assert np.abs(got - vec[rows]).max() <= 1e-15

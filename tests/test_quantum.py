@@ -116,8 +116,7 @@ def test_norm_after_1000_steps(topo):
 def test_norm_of_zero_state(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     # test-only construction of the zero vector
-    for buf in state._cycle + state._ray:
-        buf[:] = 0.0
+    state._values[:] = 0.0
     assert state.norm() == 0.0
 
 

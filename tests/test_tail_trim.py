@@ -52,11 +52,13 @@ def advance(state, steps):
 
 
 def untrimmed_step(state):
-    """Cycle and ray arrays after one application of the walk's rule alone."""
+    """Cycle and half-line columns after one application of the walk's rule
+    alone."""
     dup = state.copy()
     dup.reserve(dup._frontier + 2)
-    dup._rule(dup._cycle, dup._ray, dup._cycle_back, dup._ray_back, dup._frontier)
-    return dup._cycle_back, dup._ray_back, dup._frontier + 1
+    dup._rule(dup._values, dup._back, dup._frontier)
+    n = state.topology.cycle_size
+    return dup._back[:, :n], dup._back[:, n:], dup._frontier + 1
 
 
 def discarded(model, values):
@@ -72,9 +74,9 @@ def test_ray_is_zero_past_frontier_in_both_buffers(topo, model):
     state = advance(launch(topo), start)
     for _ in range(3 * 64):
         state.step()
-        edge = state._frontier + 2
-        for buf in state._ray + state._ray_back:
-            assert not buf[edge:].any()
+        edge = topo.cycle_size + state._frontier + 2
+        for buf in (state._values, state._back):
+            assert not buf[:, edge:].any()
     assert state._frontier < state.time  # the trim has moved it back
 
 
@@ -84,9 +86,10 @@ def test_trim_only_cuts_the_tail_and_within_its_budget(topo, model):
     state = advance(launch(topo), start)
     # per trimmed site: below tiny in each of its components, squared for
     # quantum probability
-    per_site = len(state._ray) * (
+    per_site = len(state._values) * (
         Fraction(TINY) ** 2 if model == "quantum" else Fraction(TINY)
     )
+    n = topo.cycle_size
     trimmed_total = 0
     lost_total = Fraction(0)
     for _ in range(4):
@@ -96,10 +99,9 @@ def test_trim_only_cuts_the_tail_and_within_its_budget(topo, model):
         assert state.time % 64 == 0
         keep = state._frontier
         assert keep <= light_cone
-        for mine, ref in zip(state._cycle, cycle):
-            assert np.array_equal(mine, ref)
+        assert np.array_equal(state._values[:, :n], cycle)
         lost = Fraction(0)
-        for mine, ref in zip(state._ray, ray):
+        for mine, ref in zip(state._values[:, n:], ray):
             assert np.array_equal(mine[: keep + 1], ref[: keep + 1])
             assert not mine[keep + 1 :].any()
             assert np.all(np.abs(ref[keep + 1 : light_cone + 1]) < TINY)
@@ -120,16 +122,16 @@ def test_planted_subnormal_band_is_trimmed(topo, model):
     edge, width = state._frontier, 300
     state.reserve(edge + width + 2)
     clean = state.copy()
-    for buf in state._ray:
-        buf[edge + 1 : edge + width + 1] = 5e-324  # the smallest subnormal
+    n = topo.cycle_size
+    # the smallest subnormal, in every row
+    state._values[:, n + edge + 1 : n + edge + width + 1] = 5e-324
     state._frontier = clean._frontier = edge + width
     advance(state, 2 * 64)
     advance(clean, 2 * 64)
     assert state._frontier < edge + width
     assert state._frontier == clean._frontier
-    for mine, ref in zip(state._cycle, clean._cycle):
-        assert np.array_equal(mine, ref)
-    for mine, ref in zip(state._ray, clean._ray):
+    assert np.array_equal(state._values[:, :n], clean._values[:, :n])
+    for mine, ref in zip(state._values[:, n:], clean._values[:, n:]):
         normal = (np.abs(mine) >= TINY) | (np.abs(ref) >= TINY)
         assert np.array_equal(mine[normal], ref[normal])
 
