@@ -5,7 +5,9 @@ unrolled into one row, with the n cycle nodes in columns 0..n-1 (column 0
 is the junction) and half-line site x in column n + x.  Away from the
 junction both walks are a nearest-neighbour stencil along that row, so one
 array pass per direction steps the cycle and the half-line together.  The
-half-line part grows geometrically ahead of the walker's frontier.  After
+half-line part grows geometrically ahead of the walker's frontier.  Steps run
+in blocks, one Python loop each, that end at each tail trim and before each
+growth, so that the buffer grows at the same frontiers step by step.  After
 t steps from a site at offset x the support cannot pass half-line site
 x + t, so a row that long would hold the infinite half-line exactly.
 
@@ -43,7 +45,7 @@ _TINY = np.finfo(np.float64).tiny
 
 
 class TwoBufferWalk:
-    """Real-valued walk state stepped by a stencil rule via a back buffer.
+    """Real-valued walk state stepped by a stencil kernel via a back buffer.
 
     `_values` is a float64 array of shape (components, n + extent + 1):
     column k < n is cycle node [k], column n + x is half-line site x.
@@ -55,10 +57,11 @@ class TwoBufferWalk:
     - `_slot(topology, site, coin) -> (component, column)`: where the
       value of one (site, coin) basis state lives, raising ValueError
       unless the topology admits it;
-    - `_rule(values, new, m)`: writes the next state into `new` from
-      `values`, where m bounds the largest occupied half-line site; both
-      reach at least column n + m + 2.  Columns of `new` past n + m + 1
-      are zero already and are left alone; the tail trim keeps that so;
+    - `_kernel(values, new, width) -> step`: a zero-argument callable,
+      with every view and work array built once, that writes the next
+      state into columns [0, width) of `new` from columns [0, width] of
+      `values`.  Columns past the frontier hold +0.0 and a step keeps
+      them so: the width of a block changes no value, signed zeros included;
     - `_site_probabilities() -> (cycle, halfline)`: fresh arrays of the
       probability at each cycle node and half-line site, with half-line
       index 0 zero (the junction counts on the cycle).
@@ -117,16 +120,32 @@ class TwoBufferWalk:
         self._back = np.zeros_like(self._values)
 
     def step(self) -> None:
-        """Apply one walk step into the back buffer, then swap it in."""
-        m = self._frontier
-        if m + 2 > self.extent:
+        """Apply one walk step."""
+        self.advance(1)
+
+    def advance(self, steps: int) -> None:
+        """Apply `steps` walk steps, one block at a time."""
+        n = self.topology.cycle_size
+        while steps > 0:
+            m = self._frontier
             self.reserve(m + 2)
-        self._rule(self._values, self._back, m)
-        self._values, self._back = self._back, self._values
-        self._frontier = m + 1
-        self.time += 1
-        if self.time % _TRIM_PERIOD == 0:
-            self._trim_tail()
+            block = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD,
+                        self.extent - m - 1)
+            # the block's last step reaches half-line site m + block
+            width = n + m + block + 1
+            forward = self._kernel(self._values, self._back, width)
+            backward = self._kernel(self._back, self._values, width)
+            for _ in range(block // 2):
+                forward()
+                backward()
+            if block % 2:
+                forward()
+                self._values, self._back = self._back, self._values
+            self._frontier = m + block
+            self.time += block
+            steps -= block
+            if self.time % _TRIM_PERIOD == 0:
+                self._trim_tail()
 
     def _trim_tail(self) -> None:
         """Move the frontier back to the last half-line site where some
@@ -165,9 +184,7 @@ def run_walk(state, total_steps, snapshot_times):
     start = state.time
     collected = []
     for t in times:
-        for _ in range(start + t - state.time):
-            state.step()
+        state.advance(start + t - state.time)
         collected.append((t, observables.position_distribution(state)))
-    for _ in range(start + total_steps - state.time):
-        state.step()
+    state.advance(start + total_steps - state.time)
     return collected

@@ -9,10 +9,10 @@ growth and the step loop are the shared two-buffer engine in `_driver`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import _driver
 from .topology import HalfLineNode, LollipopTopology, Site
-
-_THIRD = 1.0 / 3.0
 
 
 class ClassicalDistribution(_driver.TwoBufferWalk):
@@ -43,24 +43,31 @@ class ClassicalDistribution(_driver.TwoBufferWalk):
         n = self.topology.cycle_size
         return row[:n], row[n:]
 
-    def _rule(self, values, new, m) -> None:
+    def _kernel(self, values, new, width):
         n = self.topology.cycle_size
         (v,), (nv,) = values, new
-        half = 0.5 * v[: n + m + 3]
-        third = _THIRD * v[0]
-
+        half = np.empty(width + 1)
         # half to each neighbour, gathered at the target column; the
         # junction's column 0 sends nothing along the row
-        nv[0 : n + m + 2] = half[1 : n + m + 3]   # from the higher column
-        nv[2 : n + m + 2] += half[1 : n + m + 1]  # from the lower column
+        source, from_higher, to_row = v[: width + 1], half[1:], nv[:width]
+        from_lower, to_upper = half[1 : width - 1], nv[2:width]
+        multiply, copyto, add = np.multiply, np.copyto, np.add
 
-        # rewire the junction and the seam between [n-1] and half-line site 0:
-        # the junction sends a third each to [1], [n-1] and half-line site 1
-        nv[0] += half[n - 1] + half[n + 1]        # wrap-around plus half-line site 1
-        nv[1] += third
-        nv[n - 1] += third
-        nv[n + 1] += third
-        nv[n] = 0.0
+        def step():
+            multiply(source, 0.5, out=half)
+            third = (1.0 / 3.0) * v[0]
+            copyto(to_row, from_higher)
+            add(to_upper, from_lower, out=to_upper)
+            # rewire the junction and the seam between [n-1] and half-line
+            # site 0: the junction sends a third each to [1], [n-1] and
+            # half-line site 1
+            nv[0] += half[n - 1] + half[n + 1]  # wrap-around plus half-line site 1
+            nv[1] += third
+            nv[n - 1] += third
+            nv[n + 1] += third
+            nv[n] = 0.0
+
+        return step
 
 
 def make_point_distribution(

@@ -37,9 +37,9 @@ MODELS = ("quantum", "classical")
 FORMATS = ("csv", "json", "svg")
 # Largest half-line a run may need (launch offset + steps + 2 sites), and
 # largest cycle.  Each walk stores cycle and half-line in one row of columns
-# per component, in a front and a back buffer: 32 B per quantum column, so
-# after doubling the half-line part stays near 640 MB and a cycle this size
-# takes 320 MB.
+# per component, in a front and a back buffer, and the classical walk steps
+# through two work rows: 32 B per column either way, so after doubling
+# the half-line part stays near 640 MB and a cycle this size takes 320 MB.
 MAX_HALFLINE_SITES = 10**7
 # Largest dense operator `oracle-check` builds (2n + 1 + 2 x_max basis
 # states): each of its few dense matrices then takes 32 MiB.
@@ -79,6 +79,8 @@ class RunConfig:
                 f"launch offset {offset} + {self.total_steps} steps + 2 exceeds the "
                 f"limit of {MAX_HALFLINE_SITES} half-line sites"
             )
+        if not self.snapshot_times:
+            raise ConfigError("snapshot times must name at least one time")
         try:
             _driver.validate_snapshot_times(self.snapshot_times, self.total_steps)
         except ValueError as exc:
@@ -252,7 +254,7 @@ def build_tables_report(
 
 
 def compute_tables_report(progress=None) -> TablesReport:
-    """Run both 25-node benchmarks (about 15 seconds) and diff them."""
+    """Run both 25-node benchmarks (about 11 seconds) and diff them."""
     topology = LollipopTopology(25)
     if progress:
         progress(f"running quantum benchmark ({BENCHMARK_STEPS} steps)")
@@ -401,7 +403,7 @@ def _build_parser() -> _Parser:
     tables_p = sub.add_parser(
         "tables",
         help="re-run the two long benchmarks and diff against reference values "
-        "(about 15 seconds)",
+        "(about 11 seconds)",
     )
     tables_p.add_argument(
         "--tolerance",
@@ -435,13 +437,12 @@ def _cmd_run(args) -> int:
     records, written = execute_run(config)
     for path in written:
         print(f"wrote {path}")
-    final = records[-1] if records else None
-    if final is not None:
-        print(
-            f"final snapshot t={final.time}: cycle_total="
-            f"{final.cycle_total:.6f}, spike at [{final.spike_site}] "
-            f"height {final.spike_height:.6f}"
-        )
+    final = records[-1]
+    print(
+        f"final snapshot t={final.time}: cycle_total="
+        f"{final.cycle_total:.6f}, spike at [{final.spike_site}] "
+        f"height {final.spike_height:.6f}"
+    )
     return 0
 
 

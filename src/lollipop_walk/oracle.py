@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import SQRT_HALF, make_basis_state
+from .quantum import SQRT_HALF, evolve_quantum, make_basis_state
 from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
 
 
@@ -148,8 +148,9 @@ def compare_step(
     site: Site | None = None,
     coin: Coin = Coin.RIGHT,
 ) -> float:
-    """Max absolute amplitude difference between the rule-based engine and
-    repeated dense matrix-vector products, after `steps` steps.
+    """Max absolute amplitude difference between the engine, advanced by
+    `evolve_quantum` as production runs are, and repeated dense
+    matrix-vector products, after `steps` steps.
 
     The launch defaults to the junction's Right coin.  The support must stay
     clear of the truncation edge, which the light cone guarantees as long as
@@ -171,8 +172,7 @@ def compare_step(
     for _ in range(steps):
         vec = op.entries @ vec
     state = make_basis_state(topology, site, coin)
-    for _ in range(steps):
-        state.step()
+    evolve_quantum(state, steps)
     worst = 0.0
     for i in range(op.dimension):
         s, c = topology.inverse_index(x_max, i)

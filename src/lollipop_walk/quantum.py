@@ -71,31 +71,33 @@ class WalkerState(_driver.TwoBufferWalk):
         halfline[0] = 0.0
         return cycle, halfline
 
-    def _rule(self, values, new, m) -> None:
+    def _kernel(self, values, new, width):
         n = self.topology.cycle_size
-        a, b = values
-        na, nb = new
-
-        # junction: Grover coin over (L, R, Down), routed to [n-1]L, [1]R, (1)Up;
-        # times the rounded 1/3, not / 3: the golden artifact digests pin it
-        l0, r0, d0 = a[0], b[0], a[n]
-        to_left = (2.0 * (r0 + d0) - l0) * (1.0 / 3.0)
-        to_right = (2.0 * (l0 + d0) - r0) * (1.0 / 3.0)
-        to_up = (2.0 * (l0 + r0) - d0) * (1.0 / 3.0)
-
+        (a, b), (na, nb) = values, new
         # Hadamard stencil gathered at the target column:
         # Left/Down [c] <- [c+1], Right/Up [c] <- [c-1]
-        np.add(a[1 : n + m + 3], b[1 : n + m + 3], out=na[0 : n + m + 2])
-        na[0 : n + m + 2] *= SQRT_HALF
-        np.subtract(a[0 : n + m + 1], b[0 : n + m + 1], out=nb[1 : n + m + 2])
-        nb[1 : n + m + 2] *= SQRT_HALF
+        a_up, b_up, to_lower = a[1 : width + 1], b[1 : width + 1], na[:width]
+        a_down, b_down, to_higher = a[: width - 1], b[: width - 1], nb[1:width]
+        scaled = new[:, :width]
+        add, subtract, multiply = np.add, np.subtract, np.multiply
 
-        # rewire the junction and the seam between [n-1] and half-line site 0
-        na[n - 1] = to_left
-        nb[0] = nb[n]  # the wrap [n-1] -> [0]R, which the pass put at column n
-        nb[1] = to_right
-        nb[n] = 0.0
-        nb[n + 1] = to_up
+        def step():
+            # junction: Grover coin over (L, R, Down), routed to [n-1]L, [1]R,
+            # (1)Up; times the rounded 1/3, not / 3: the golden artifact
+            # digests pin it
+            l0, r0, d0 = a[0], b[0], a[n]
+            add(a_up, b_up, out=to_lower)
+            subtract(a_down, b_down, out=to_higher)
+            multiply(scaled, SQRT_HALF, out=scaled)
+            # rewire the junction and the seam between [n-1] and half-line
+            # site 0; nb[0] held a stale value, scaled and now overwritten
+            na[n - 1] = (2.0 * (r0 + d0) - l0) * (1.0 / 3.0)
+            nb[0] = nb[n]  # the wrap [n-1] -> [0]R, which the pass put at column n
+            nb[1] = (2.0 * (l0 + d0) - r0) * (1.0 / 3.0)
+            nb[n] = 0.0
+            nb[n + 1] = (2.0 * (l0 + r0) - d0) * (1.0 / 3.0)
+
+        return step
 
 
 def make_basis_state(

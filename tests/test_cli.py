@@ -249,21 +249,21 @@ def test_run_writes_each_snapshot_as_it_is_taken(tmp_path, monkeypatch):
         write_csv(path, dist)
 
     steps = []
-    step = TwoBufferWalk.step
+    advance = TwoBufferWalk.advance
 
-    def counting_step(state):
-        steps.append(state.time)
-        step(state)
+    def counting_advance(state, count):
+        steps.extend(range(state.time, state.time + count))
+        advance(state, count)
 
     monkeypatch.setattr(observables, "PositionDistribution", TrackedDistribution)
     monkeypatch.setattr(cli, "write_distribution_csv", counting_write)
-    monkeypatch.setattr(TwoBufferWalk, "step", counting_step)
+    monkeypatch.setattr(TwoBufferWalk, "advance", counting_advance)
     snapshots = ",".join(str(t) for t in range(0, 100, 2))
     out = tmp_path / "w"
     assert main(run_args(out, steps="150", snapshots=snapshots, format="csv")) == 0
     assert len(live_at_write) == 50
     assert max(live_at_write) <= 2
-    assert len(steps) == 98  # none past the last snapshot
+    assert steps == list(range(98))  # none past the last snapshot
 
 
 # SHA-256 of the "<file name> <file SHA-256>" lines of every artifact of a
@@ -356,6 +356,14 @@ def test_bad_snapshot_list_error_states_the_expected_form(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "expected a comma-separated integer list, got '1,x'" in err
     assert "_comma_ints" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snapshots", ["", ","])
+def test_empty_snapshot_list_exits_1_before_running(capsys, tmp_path, snapshots):
+    out = tmp_path / "out"
+    assert main(run_args(out, snapshots=snapshots)) == 1
+    assert "error: snapshot times must name at least one time" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
-"""The shared engine's launch/read path and snapshot loop, on both walks."""
+"""The shared engine's launch/read path, blocks of steps and snapshot loop,
+on both walks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lollipop_walk import (
     Coin,
@@ -87,3 +89,58 @@ def test_evolve_without_snapshots_steps_to_the_end(topo, model):
     assert evolve(state, 4) == []
     assert state.time == 4
     assert position_distribution(state).time == 4
+
+
+# Steps run in blocks that end at every tail trim (each 64 steps) and before
+# every buffer growth.  A window of CHUNK_STEPS from t = 0 spans four trims
+# and several growths; from DEEP_START the trims cut the underflowed
+# half-line tail of both walks.
+CHUNK_STEPS = 300
+DEEP_START = 2496
+
+
+@st.composite
+def chunked_launches(draw, model, region):
+    """(walk, start time, chunk sizes summing to CHUNK_STEPS) for one launch."""
+    topo = LollipopTopology(draw(st.sampled_from([3, 4, 25])))
+    if region == "cycle":
+        site = CycleNode(draw(st.integers(1, topo.cycle_size - 1)))
+        coin = draw(st.sampled_from([Coin.LEFT, Coin.RIGHT]))
+    elif region == "junction":
+        site, coin = CycleNode(0), Coin.DOWN
+    else:
+        site = HalfLineNode(draw(st.integers(1, 5)))
+        coin = draw(st.sampled_from([Coin.DOWN, Coin.UP]))
+    if model == "quantum":
+        walk = make_basis_state(topo, site, coin)
+    else:
+        walk = make_point_distribution(topo, site)
+    chunks, left = [], CHUNK_STEPS
+    while left:
+        chunks.append(draw(st.integers(1, min(left, 150))))
+        left -= chunks[-1]
+    return walk, draw(st.sampled_from([0, DEEP_START])), chunks
+
+
+@pytest.mark.parametrize("region", ["cycle", "junction", "half"])
+@pytest.mark.parametrize("model", sorted(WALKS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_advance_in_chunks_equals_single_steps_bit_for_bit(model, region, data):
+    walk, start, chunks = data.draw(chunked_launches(model, region))
+    walk.advance(start)
+    chunked, single = walk.copy(), walk.copy()
+    extents, trims = {single.extent}, 0
+    for count in chunks:
+        chunked.advance(count)
+        for _ in range(count):
+            single.advance(1)
+            extents.add(single.extent)
+            trims += single.time % 64 == 0
+        assert chunked.time == single.time
+        assert chunked._frontier == single._frontier
+        assert chunked.extent == single.extent
+        # the raw bytes, so signed zeros count
+        assert chunked._values.tobytes() == single._values.tobytes()
+    assert trims >= 2
+    assert start or len(extents) >= 3  # two growths at least

@@ -52,12 +52,12 @@ def advance(state, steps):
 
 
 def untrimmed_step(state):
-    """Cycle and half-line columns after one application of the walk's rule
-    alone."""
+    """Cycle and half-line columns after one run of the walk's one-step
+    kernel alone."""
     dup = state.copy()
     dup.reserve(dup._frontier + 2)
-    dup._rule(dup._values, dup._back, dup._frontier)
     n = state.topology.cycle_size
+    dup._kernel(dup._values, dup._back, n + dup._frontier + 2)()
     return dup._back[:, :n], dup._back[:, n:], dup._frontier + 1
 
 
