@@ -125,6 +125,8 @@ class TwoBufferWalk:
 
     def advance(self, steps: int) -> None:
         """Apply `steps` walk steps, one block at a time."""
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
         n = self.topology.cycle_size
         while steps > 0:
             m = self._frontier
@@ -161,7 +163,10 @@ class TwoBufferWalk:
 
 
 def validate_snapshot_times(snapshot_times, total_steps: int) -> list[int]:
-    times = [int(t) for t in snapshot_times]
+    given = list(snapshot_times)
+    times = [int(t) for t in given]
+    if times != given:
+        raise ValueError(f"snapshot times must be integers: {given}")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"snapshot times must be strictly increasing: {times}")
     if times and (times[0] < 0 or times[-1] > total_steps):

@@ -6,6 +6,11 @@ Verbs:
                 built-in reference values
   oracle-check  dense-operator unitarity and rule-vs-matrix agreement
 
+`compute_tables_report` returns the benchmarks' `{model: {time: SummaryRecord}}`
+and `format_tables_report` diffs those against the reference constants as it
+renders them.  Sites and cycle sizes range-check themselves in the topology
+types; `run` and `oracle-check` report their ValueError as exit code 1.
+
 Exit codes: 0 success, 1 validation error, 2 i/o error, 3 tolerance failure.
 """
 
@@ -14,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import _driver
@@ -64,8 +69,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.cycle_size < 3:
-            raise ConfigError(f"cycle size must be >= 3, got {self.cycle_size}")
         if self.cycle_size > MAX_HALFLINE_SITES:
             raise ConfigError(
                 f"cycle size {self.cycle_size} exceeds the limit of "
@@ -88,12 +91,12 @@ class RunConfig:
         unknown = [f for f in self.formats if f not in FORMATS]
         if unknown or not self.formats:
             raise ConfigError(f"formats must be a non-empty subset of {FORMATS}")
-        topology = LollipopTopology(self.cycle_size)
         if self.model == "classical" and self.start_coin is not None:
             raise ConfigError("classical runs take no start coin")
         if self.model == "quantum" and self.start_coin is None:
             raise ConfigError("quantum runs need a start coin (e.g. cycle:12:R)")
         try:
+            topology = LollipopTopology(self.cycle_size)
             if self.model == "classical":
                 topology.coins_at(self.start_site)
             else:
@@ -121,17 +124,13 @@ def parse_start(text: str) -> tuple[Site, Coin | None]:
             coin = _COIN_LETTERS[parts[2].upper()]
         except KeyError:
             raise ConfigError(f"coin must be one of L, R, D, U, got {parts[2]!r}")
-    if region == "cycle":
-        if index < 0:
-            raise ConfigError(f"cycle index must be >= 0, got {index}")
-        return CycleNode(index), coin
-    if region == "half":
-        if index < 1:
-            raise ConfigError(
-                f"half-line site must be >= 1 (site 0 is cycle:0), got {index}"
-            )
-        return HalfLineNode(index), coin
-    raise ConfigError(f"start region must be 'cycle' or 'half', got {region!r}")
+    node = {"cycle": CycleNode, "half": HalfLineNode}.get(region)
+    if node is None:
+        raise ConfigError(f"start region must be 'cycle' or 'half', got {region!r}")
+    try:
+        return node(index), coin
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def execute_run(config: RunConfig) -> tuple[list[SummaryRecord], list[Path]]:
@@ -195,90 +194,44 @@ TOTAL_TOLERANCE = {"quantum": 5e-3, "classical": 5e-4}
 SPIKE_TOLERANCE = {"quantum": 2e-3, "classical": 1e-4}
 
 
-@dataclass(frozen=True)
-class ValueCheck:
-    model: str
-    quantity: str
-    time: int
-    computed: float
-    reference: float
-    tolerance: float
+def compute_tables_report(progress=None) -> dict[str, dict[int, SummaryRecord]]:
+    """Run both 25-node benchmarks (about 11 seconds) and summarize them.
 
-    def deviation(self) -> float:
-        return abs(self.computed - self.reference)
-
-
-@dataclass(frozen=True)
-class SpikeSiteCheck:
-    model: str
-    time: int
-    computed: int
-    reference: int
-
-
-@dataclass
-class TablesReport:
-    values: list[ValueCheck] = field(default_factory=list)
-    spike_sites: list[SpikeSiteCheck] = field(default_factory=list)
-
-
-def build_tables_report(
-    quantum_records: dict[int, SummaryRecord],
-    classical_records: dict[int, SummaryRecord],
-) -> TablesReport:
-    """Diff benchmark summary records against the reference values."""
-    report = TablesReport()
-    rows = (
-        ("quantum", quantum_records, QUANTUM_CYCLE_TOTALS,
-         QUANTUM_SPIKE_SITES, QUANTUM_SPIKE_HEIGHTS),
-        ("classical", classical_records, CLASSICAL_CYCLE_TOTALS,
-         CLASSICAL_SPIKE_SITES, CLASSICAL_SPIKE_HEIGHTS),
-    )
-    for model, records, totals, sites, heights in rows:
-        for t, total_ref, site_ref, height_ref in zip(
-            BENCHMARK_TIMES, totals, sites, heights
-        ):
-            rec = records[t]
-            report.values.append(
-                ValueCheck(model, "cycle_total", t, rec.cycle_total,
-                           total_ref, TOTAL_TOLERANCE[model])
-            )
-            report.values.append(
-                ValueCheck(model, "spike_height", t, rec.spike_height,
-                           height_ref, SPIKE_TOLERANCE[model])
-            )
-            report.spike_sites.append(
-                SpikeSiteCheck(model, t, rec.spike_site, site_ref)
-            )
-    return report
-
-
-def compute_tables_report(progress=None) -> TablesReport:
-    """Run both 25-node benchmarks (about 11 seconds) and diff them."""
+    Returns `{model: {time: SummaryRecord}}` at each of BENCHMARK_TIMES, the
+    records `format_tables_report` diffs against the reference values.
+    """
     topology = LollipopTopology(25)
-    if progress:
-        progress(f"running quantum benchmark ({BENCHMARK_STEPS} steps)")
-    state = make_basis_state(topology, CycleNode(12), Coin.RIGHT)
-    q_snaps = evolve_quantum(state, BENCHMARK_STEPS, BENCHMARK_TIMES)
-    if progress:
-        progress(f"running classical benchmark ({BENCHMARK_STEPS} steps)")
-    dist = make_point_distribution(topology, CycleNode(12))
-    c_snaps = evolve_classical(dist, BENCHMARK_STEPS, BENCHMARK_TIMES)
-    return build_tables_report(
-        {t: summarize(d) for t, d in q_snaps},
-        {t: summarize(d) for t, d in c_snaps},
+    launches = (
+        ("quantum", make_basis_state(topology, CycleNode(12), Coin.RIGHT),
+         evolve_quantum),
+        ("classical", make_point_distribution(topology, CycleNode(12)),
+         evolve_classical),
     )
+    records = {}
+    for model, state, evolve in launches:
+        if progress:
+            progress(f"running {model} benchmark ({BENCHMARK_STEPS} steps)")
+        snaps = evolve(state, BENCHMARK_STEPS, BENCHMARK_TIMES)
+        records[model] = {t: summarize(d) for t, d in snaps}
+    return records
 
 
 def format_tables_report(
-    report: TablesReport, tolerance_override: float | None = None
+    records: dict[str, dict[int, SummaryRecord]],
+    tolerance_override: float | None = None,
 ) -> tuple[str, bool]:
-    """Render the report; ok=False if any deviation exceeds its tolerance
+    """Diff `{model: {time: SummaryRecord}}` against the reference values
+    and render the table; ok=False if any deviation exceeds its tolerance
     or any spike site mismatches."""
+    references = (
+        ("quantum", "cycle:12:R", QUANTUM_CYCLE_TOTALS, QUANTUM_SPIKE_HEIGHTS,
+         QUANTUM_SPIKE_SITES),
+        ("classical", "cycle:12", CLASSICAL_CYCLE_TOTALS, CLASSICAL_SPIKE_HEIGHTS,
+         CLASSICAL_SPIKE_SITES),
+    )
     lines = []
     ok = True
-    for model in MODELS:
-        start = "cycle:12:R" if model == "quantum" else "cycle:12"
+    for model, start, totals, heights, sites in references:
         lines.append(
             f"{model} walk, 25-node cycle, launched at {start}, "
             f"{BENCHMARK_STEPS} steps"
@@ -287,24 +240,29 @@ def format_tables_report(
             f"  {'quantity':<13}{'time':>8}  {'computed':>13}  {'reference':>10}"
             f"  {'|dev|':>9}  {'tol':>7}  status"
         )
-        for check in report.values:
-            if check.model != model:
-                continue
-            tol = tolerance_override if tolerance_override is not None else check.tolerance
-            good = check.deviation() <= tol
-            ok = ok and good
-            lines.append(
-                f"  {check.quantity:<13}{check.time:>8}  {check.computed:>13.8f}"
-                f"  {check.reference:>10.5f}  {check.deviation():>9.2e}"
-                f"  {tol:>7.0e}  {'ok' if good else 'FAIL'}"
-            )
-        sites = [c for c in report.spike_sites if c.model == model]
-        good = all(c.computed == c.reference for c in sites)
+        computed_sites = []
+        for t, total_ref, height_ref in zip(BENCHMARK_TIMES, totals, heights):
+            rec = records[model][t]
+            computed_sites.append(rec.spike_site)
+            for quantity, computed, reference, tol in (
+                ("cycle_total", rec.cycle_total, total_ref, TOTAL_TOLERANCE[model]),
+                ("spike_height", rec.spike_height, height_ref, SPIKE_TOLERANCE[model]),
+            ):
+                if tolerance_override is not None:
+                    tol = tolerance_override
+                deviation = abs(computed - reference)
+                good = deviation <= tol
+                ok = ok and good
+                lines.append(
+                    f"  {quantity:<13}{t:>8}  {computed:>13.8f}"
+                    f"  {reference:>10.5f}  {deviation:>9.2e}"
+                    f"  {tol:>7.0e}  {'ok' if good else 'FAIL'}"
+                )
+        good = computed_sites == list(sites)
         ok = ok and good
         lines.append(
-            f"  spike sites   computed {[c.computed for c in sites]}"
-            f"  reference {[c.reference for c in sites]}  "
-            f"{'ok' if good else 'FAIL'}"
+            f"  spike sites   computed {computed_sites}"
+            f"  reference {list(sites)}  {'ok' if good else 'FAIL'}"
         )
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
     return "\n".join(lines), ok
@@ -318,8 +276,6 @@ MISMATCH_LIMIT = 1e-12
 
 def oracle_check(n: int, x_max: int, steps: int) -> tuple[str, bool]:
     """Unitarity defect plus rule-vs-dense agreement on one instance."""
-    if n < 3:
-        raise ConfigError(f"cycle size must be >= 3, got {n}")
     if x_max < 2:
         raise ConfigError(f"x-max must be >= 2, got {x_max}")
     if steps < 0 or steps >= x_max - 1:
@@ -327,7 +283,10 @@ def oracle_check(n: int, x_max: int, steps: int) -> tuple[str, bool]:
             f"steps must satisfy 0 <= steps < x_max - 1 so the support stays "
             f"inside the truncation, got steps={steps}, x_max={x_max}"
         )
-    topology = LollipopTopology(n)
+    try:
+        topology = LollipopTopology(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     dimension = topology.state_count(x_max)
     if dimension > MAX_ORACLE_DIMENSION:
         raise ConfigError(

@@ -21,6 +21,30 @@ from lollipop_walk.cli import main
 
 BENCH_TIMES = (20000, 50000, 100000)
 
+# `lollipop-walk tables` stdout (without its final newline), recorded from the
+# command itself; the diff table built from the shared fixtures must match it
+# byte for byte.
+TABLES_TEXT = """\
+quantum walk, 25-node cycle, launched at cycle:12:R, 100000 steps
+  quantity         time       computed   reference      |dev|      tol  status
+  cycle_total     20000     0.50587266     0.50587   2.66e-06    5e-03  ok
+  spike_height    20000     0.09573095     0.09573   9.54e-07    2e-03  ok
+  cycle_total     50000     0.50012357     0.50012   3.57e-06    5e-03  ok
+  spike_height    50000     0.05954877     0.05955   1.23e-06    2e-03  ok
+  cycle_total    100000     0.50000020     0.50000   1.99e-07    5e-03  ok
+  spike_height   100000     0.06355347     0.06355   3.47e-06    2e-03  ok
+  spike sites   computed [0, 24, 14]  reference [0, 24, 14]  ok
+classical walk, 25-node cycle, launched at cycle:12, 100000 steps
+  quantity         time       computed   reference      |dev|      tol  status
+  cycle_total     20000     0.14054577     0.14055   4.23e-06    5e-04  ok
+  spike_height    20000     0.00824788     0.00825   2.12e-06    1e-04  ok
+  cycle_total     50000     0.09011402     0.09011   4.02e-06    5e-04  ok
+  spike_height    50000     0.00529568     0.00530   4.32e-06    1e-04  ok
+  cycle_total    100000     0.06402544     0.06403   4.56e-06    5e-04  ok
+  spike_height   100000     0.00376436     0.00376   4.36e-06    1e-04  ok
+  spike sites   computed [0, 0, 0]  reference [0, 0, 0]  ok
+overall: PASS"""
+
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -153,14 +177,15 @@ def test_criterion_9_run_determinism(tmp_path):
 
 def test_benchmark_diff_table_passes(quantum_cycle12, classical_cycle12):
     # the `tables` verb's diff logic, fed from the shared fixtures
-    from lollipop_walk.cli import build_tables_report, format_tables_report
+    from lollipop_walk.cli import format_tables_report
 
     q_snaps, _ = quantum_cycle12
     c_snaps, _ = classical_cycle12
-    report = build_tables_report(
-        {t: summarize(q_snaps[t]) for t in BENCH_TIMES},
-        {t: summarize(c_snaps[t]) for t in BENCH_TIMES},
-    )
-    text, ok = format_tables_report(report)
+    records = {
+        "quantum": {t: summarize(q_snaps[t]) for t in BENCH_TIMES},
+        "classical": {t: summarize(c_snaps[t]) for t in BENCH_TIMES},
+    }
+    text, ok = format_tables_report(records)
     print(text)
     assert ok
+    assert text == TABLES_TEXT

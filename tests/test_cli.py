@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import weakref
@@ -11,8 +12,6 @@ from lollipop_walk._driver import TwoBufferWalk
 from lollipop_walk.cli import (
     ConfigError,
     RunConfig,
-    TablesReport,
-    build_tables_report,
     format_tables_report,
     main,
     parse_start,
@@ -46,9 +45,13 @@ def test_parse_start_forms():
     ["cycle", "cycle:two:R", "cycle:3:Q", "cycle:-1:R", "half:0:D",
      "ring:3:R", "cycle:3:R:extra", ""],
 )
-def test_parse_start_rejections(text):
+def test_parse_start_rejections(text, capsys, tmp_path):
     with pytest.raises(ConfigError):
         parse_start(text)
+    out = tmp_path / "out"
+    assert main(run_args(out, start=text)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # --- config validation ------------------------------------------------------
@@ -450,12 +453,13 @@ def fake_records(totals, sites, heights, skew=0.0):
 
 
 def fake_report(skew=0.0):
-    return build_tables_report(
-        fake_records(cli.QUANTUM_CYCLE_TOTALS, cli.QUANTUM_SPIKE_SITES,
-                     cli.QUANTUM_SPIKE_HEIGHTS, skew),
-        fake_records(cli.CLASSICAL_CYCLE_TOTALS, cli.CLASSICAL_SPIKE_SITES,
-                     cli.CLASSICAL_SPIKE_HEIGHTS, skew),
-    )
+    return {
+        "quantum": fake_records(cli.QUANTUM_CYCLE_TOTALS, cli.QUANTUM_SPIKE_SITES,
+                                cli.QUANTUM_SPIKE_HEIGHTS, skew),
+        "classical": fake_records(cli.CLASSICAL_CYCLE_TOTALS,
+                                  cli.CLASSICAL_SPIKE_SITES,
+                                  cli.CLASSICAL_SPIKE_HEIGHTS, skew),
+    }
 
 
 def test_format_tables_report_pass_and_fail():
@@ -478,10 +482,29 @@ def test_tolerance_override_applies_to_every_value():
 
 def test_spike_site_mismatch_fails_regardless_of_tolerance():
     report = fake_report()
-    report.spike_sites[0] = cli.SpikeSiteCheck("quantum", 20000, 5, 0)
+    report["quantum"][20000] = dataclasses.replace(
+        report["quantum"][20000], spike_site=5
+    )
     text, ok = format_tables_report(report, tolerance_override=1.0)
     assert not ok
     assert "FAIL" in text
+
+
+def test_failing_rows_render_byte_for_byte():
+    report = fake_report()
+    quantum, classical = report["quantum"], report["classical"]
+    quantum[20000] = dataclasses.replace(quantum[20000], cycle_total=0.51587)
+    classical[50000] = dataclasses.replace(classical[50000], spike_site=24)
+    text, ok = format_tables_report(report)
+    assert not ok
+    lines = text.splitlines()
+    assert len(lines) == 19
+    assert lines[2] == (
+        "  cycle_total     20000     0.51587000     0.50587   1.00e-02    5e-03  FAIL"
+    )
+    assert lines[8] == "  spike sites   computed [0, 24, 14]  reference [0, 24, 14]  ok"
+    assert lines[17] == "  spike sites   computed [0, 24, 0]  reference [0, 0, 0]  FAIL"
+    assert lines[18] == "overall: FAIL"
 
 
 def test_tables_command_exit_codes(monkeypatch, capsys):
@@ -507,11 +530,20 @@ def test_tables_rejects_bad_tolerance_before_running(monkeypatch, capsys, tolera
     assert capsys.readouterr().err.startswith("error: tolerance")
 
 
-def test_tables_report_shape():
-    report = fake_report()
-    assert isinstance(report, TablesReport)
-    assert len(report.values) == 12  # 2 models x 3 times x 2 quantities
-    assert len(report.spike_sites) == 6
-    text, _ = format_tables_report(report)
+def test_tables_report_shape(monkeypatch):
+    # short benchmark times keep the walks cheap; the shape is the same
+    monkeypatch.setattr(cli, "BENCHMARK_TIMES", (2, 5, 10))
+    monkeypatch.setattr(cli, "BENCHMARK_STEPS", 10)
+    records = cli.compute_tables_report()
+    assert sorted(records) == ["classical", "quantum"]
+    for by_time in records.values():
+        assert sorted(by_time) == [2, 5, 10]
+        assert all(isinstance(rec, SummaryRecord) for rec in by_time.values())
+        assert [rec.time for rec in by_time.values()] == [2, 5, 10]
+    text, _ = format_tables_report(fake_report())
+    lines = text.splitlines()
+    # 2 models x 3 times x 2 quantities, and one spike-site line per model
+    assert sum(ln.startswith(("  cycle_total", "  spike_height")) for ln in lines) == 12
+    assert sum(ln.startswith("  spike sites") for ln in lines) == 2
     assert "quantum walk, 25-node cycle" in text
     assert "classical walk, 25-node cycle" in text

@@ -91,6 +91,29 @@ def test_evolve_without_snapshots_steps_to_the_end(topo, model):
     assert position_distribution(state).time == 4
 
 
+@pytest.mark.parametrize("model", sorted(WALKS))
+def test_negative_advance_is_rejected_and_zero_is_a_no_op(topo, model):
+    launch, _ = WALKS[model]
+    walk = launch(topo)
+    walk.advance(5)
+    before = walk._values.tobytes()
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        walk.advance(-3)
+    walk.advance(0)
+    assert walk.time == 5
+    assert walk._values.tobytes() == before
+
+
+@pytest.mark.parametrize("times", [[2.5, 7.9], [0, 4.5]])
+@pytest.mark.parametrize("model", sorted(WALKS))
+def test_non_integral_snapshot_times_are_rejected(topo, model, times):
+    launch, evolve = WALKS[model]
+    state = launch(topo)
+    with pytest.raises(ValueError, match="must be integers"):
+        evolve(state, 10, times)
+    assert state.time == 0
+
+
 # Steps run in blocks that end at every tail trim (each 64 steps) and before
 # every buffer growth.  A window of CHUNK_STEPS from t = 0 spans four trims
 # and several growths; from DEEP_START the trims cut the underflowed
