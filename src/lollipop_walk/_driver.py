@@ -11,20 +11,22 @@ growth, so that the buffer grows at the same frontiers step by step.  After
 t steps from a site at offset x the support cannot pass half-line site
 x + t, so a row that long would hold the infinite half-line exactly.
 
+An engine's row may hold its values times a gain that depends only on
+`time % _TRIM_PERIOD`, so that a step needs no scaling pass; the engine's
+`_trim_tail` removes that gain, an exact power of two, before it trims.
+
 Far ahead of the walker the values fall below the smallest normal double
-`tiny` (2.2e-308): classical masses underflow to exact zeros, while quantum
-amplitudes settle into a band of subnormals that never decays, because
-2**-1074 is a fixed point of multiplication by 1/sqrt(2).  Every
-`_TRIM_PERIOD` steps the engine therefore moves its frontier back to the
-last half-line site where some component is at least `tiny` and zeroes the
-contiguous tail past it; interior values are never touched.  Each trimmed
-site held less than `tiny` in each of its k components, so a trim discards
-less than k * tiny**2 probability per site for the quantum walk (k = 2)
-and less than tiny mass per site for the classical walk (k = 1).  The
-step is linear and does not grow the 2-norm (quantum) or the 1-norm
-(classical), so a later state is off from the untrimmed one by at most the
-sum of the norms the trims discarded: far below anything a float64
-observable resolves.
+`tiny` (2.2e-308) to subnormal residue and zeros, while the frontier still
+moves one site per step.  Every `_TRIM_PERIOD` steps the engine therefore
+moves its frontier back to the last half-line site where some component
+is at least `tiny` and zeroes the contiguous tail past it; interior values
+are never touched.  Each trimmed site held less than `tiny` in each of its
+k components, so a trim discards less than k * tiny**2 probability per
+site for the quantum walk (k = 2) and less than tiny mass per site for the
+classical walk (k = 1).  The step is linear and does not grow the 2-norm
+(quantum) or the 1-norm (classical), so a later state is off from the
+untrimmed one by at most the sum of the norms the trims discarded: far
+below anything a float64 observable resolves.
 
 The engine classes are the only code that knows where a (site, coin) value
 is stored; everything else reads a walk through its accessors and
@@ -58,10 +60,11 @@ class TwoBufferWalk:
       value of one (site, coin) basis state lives, raising ValueError
       unless the topology admits it;
     - `_kernel(values, new, width) -> step`: a zero-argument callable,
-      with every view and work array built once, that writes the next
-      state into columns [0, width) of `new` from columns [0, width] of
-      `values`.  Columns past the frontier hold +0.0 and a step keeps
-      them so: the width of a block changes no value, signed zeros included;
+      with every view built once, that writes the next state, times the
+      engine's gain if it keeps one (its `_trim_tail` renormalizes it),
+      into columns [0, width) of `new` from columns [0, width] of `values`.
+      Columns past the frontier hold +0.0 and a step keeps them so: the
+      width of a block changes no value, signed zeros included;
     - `_site_probabilities() -> (cycle, halfline)`: fresh arrays of the
       probability at each cycle node and half-line site, with half-line
       index 0 zero (the junction counts on the cycle).
@@ -125,8 +128,7 @@ class TwoBufferWalk:
 
     def advance(self, steps: int) -> None:
         """Apply `steps` walk steps, one block at a time."""
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
+        steps = step_count(steps, "steps")
         n = self.topology.cycle_size
         while steps > 0:
             m = self._frontier
@@ -162,6 +164,12 @@ class TwoBufferWalk:
         self._frontier = keep
 
 
+def step_count(steps, name: str) -> int:
+    if int(steps) != steps or steps < 0:
+        raise ValueError(f"{name} must be >= 0 and an integer, got {steps!r}")
+    return int(steps)
+
+
 def validate_snapshot_times(snapshot_times, total_steps: int) -> list[int]:
     given = list(snapshot_times)
     times = [int(t) for t in given]
@@ -183,8 +191,7 @@ def run_walk(state, total_steps, snapshot_times):
     carries the absolute time.  Returns [(time, PositionDistribution), ...]
     in time order.
     """
-    if total_steps < 0:
-        raise ValueError(f"total_steps must be >= 0, got {total_steps}")
+    total_steps = step_count(total_steps, "total_steps")
     times = validate_snapshot_times(snapshot_times, total_steps)
     start = state.time
     collected = []

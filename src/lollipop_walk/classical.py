@@ -2,8 +2,8 @@
 
 Every degree-2 site splits its mass half/half to its two neighbors; the
 junction splits a third each to its cycle neighbors [n-1] and [1] and to
-half-line site 1.  Mass is never renormalized: conservation is something
-the tests check, not something the engine enforces.  Storage, half-line
+half-line site 1.  Mass is never rescaled to sum to 1: conservation is
+for the tests to check, not for the engine to enforce.  Storage, half-line
 growth and the step loop are the shared two-buffer engine in `_driver`.
 """
 
@@ -32,37 +32,39 @@ class ClassicalDistribution(_driver.TwoBufferWalk):
         offset = topology.cycle_size if isinstance(site, HalfLineNode) else 0
         return 0, offset + site.index
 
+    def _scale(self) -> float:  # the row holds each mass times 2**(time % 64)
+        return 2.0 ** -(self.time % _driver._TRIM_PERIOD)
+
     def probability(self, site: Site) -> float:
-        return self._value(site)
+        return self._value(site) * self._scale()
 
     def total_mass(self) -> float:
-        return float(self._values.sum())
+        return float(self._values.sum()) * self._scale()
 
     def _site_probabilities(self):
-        row = self._values[0].copy()
+        row = self._values[0] * self._scale()
         n = self.topology.cycle_size
         return row[:n], row[n:]
+
+    def _trim_tail(self) -> None:
+        self._values *= 2.0**-_driver._TRIM_PERIOD  # exact for masses >= tiny
+        super()._trim_tail()
 
     def _kernel(self, values, new, width):
         n = self.topology.cycle_size
         (v,), (nv,) = values, new
-        half = np.empty(width + 1)
-        # half to each neighbour, gathered at the target column; the
-        # junction's column 0 sends nothing along the row
-        source, from_higher, to_row = v[: width + 1], half[1:], nv[:width]
-        from_lower, to_upper = half[1 : width - 1], nv[2:width]
-        multiply, copyto, add = np.multiply, np.copyto, np.add
+        # both neighbours, without halving, gathered at the target column
+        from_higher, from_lower, to_row = v[2 : width + 1], v[: width - 1], nv[1:width]
+        add = np.add
 
         def step():
-            multiply(source, 0.5, out=half)
-            third = (1.0 / 3.0) * v[0]
-            copyto(to_row, from_higher)
-            add(to_upper, from_lower, out=to_upper)
+            third = 2.0 * ((1.0 / 3.0) * v.item(0))
+            add(from_higher, from_lower, out=to_row)
             # rewire the junction and the seam between [n-1] and half-line
-            # site 0: the junction sends a third each to [1], [n-1] and
-            # half-line site 1
-            nv[0] += half[n - 1] + half[n + 1]  # wrap-around plus half-line site 1
-            nv[1] += third
+            # site 0: [0] gathers [1], [n-1] and half-line site 1, and the
+            # junction sends a doubled third to [1], [n-1] and half-line site 1
+            nv[0] = v.item(1) + (v.item(n - 1) + v.item(n + 1))
+            nv[1] = v.item(2) + third
             nv[n - 1] += third
             nv[n + 1] += third
             nv[n] = 0.0

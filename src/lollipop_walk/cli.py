@@ -42,9 +42,9 @@ MODELS = ("quantum", "classical")
 FORMATS = ("csv", "json", "svg")
 # Largest half-line a run may need (launch offset + steps + 2 sites), and
 # largest cycle.  Each walk stores cycle and half-line in one row of columns
-# per component, in a front and a back buffer, and the classical walk steps
-# through two work rows: 32 B per column either way, so after doubling
-# the half-line part stays near 640 MB and a cycle this size takes 320 MB.
+# per component, in a front and a back buffer: 32 B per column for the
+# quantum walk's two rows, 16 B for the classical walk's one, so after
+# doubling the half-line part stays near 640 MB and a cycle this size 320 MB.
 MAX_HALFLINE_SITES = 10**7
 # Largest dense operator `oracle-check` builds (2n + 1 + 2 x_max basis
 # states): each of its few dense matrices then takes 32 MiB.
@@ -195,7 +195,7 @@ SPIKE_TOLERANCE = {"quantum": 2e-3, "classical": 1e-4}
 
 
 def compute_tables_report(progress=None) -> dict[str, dict[int, SummaryRecord]]:
-    """Run both 25-node benchmarks (about 11 seconds) and summarize them.
+    """Run both 25-node benchmarks (about 8 seconds) and summarize them.
 
     Returns `{model: {time: SummaryRecord}}` at each of BENCHMARK_TIMES, the
     records `format_tables_report` diffs against the reference values.
@@ -362,7 +362,7 @@ def _build_parser() -> _Parser:
     tables_p = sub.add_parser(
         "tables",
         help="re-run the two long benchmarks and diff against reference values "
-        "(about 11 seconds)",
+        "(about 8 seconds)",
     )
     tables_p.add_argument(
         "--tolerance",

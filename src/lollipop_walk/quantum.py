@@ -10,7 +10,8 @@ Every entry of the one-step operator is real and every launch is a basis
 state, so every amplitude stays real and float64 storage is exact: it
 holds the same values a complex engine would keep in its real parts.
 Storage, half-line growth and the step loop are the shared two-buffer
-engine in `_driver`.
+engine in `_driver`.  A step rounds each value about once: after t steps
+each amplitude is within t * 2**-52 of its value in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -52,50 +53,54 @@ class WalkerState(_driver.TwoBufferWalk):
             return HALFLINE_COINS.index(coin), topology.cycle_size + site.index
         return CYCLE_COINS.index(coin), site.index
 
+    def _scale(self) -> float:  # rows hold amplitudes times sqrt(2)**(time % 64)
+        return 2.0 ** -(self.time % _driver._TRIM_PERIOD)
+
     def amplitude(self, site: Site, coin: Coin) -> float:
         """Amplitude of one basis state (0 for half-line sites past the buffer)."""
-        return self._value(site, coin)
+        return self._value(site, coin) * math.sqrt(self._scale())
 
     def norm(self) -> float:
         """Euclidean norm of the full amplitude vector."""
-        return math.sqrt(float(np.vdot(self._values, self._values)))
+        return math.sqrt(float(np.vdot(self._values, self._values)) * self._scale())
 
     def _site_probabilities(self):
         """Squared amplitudes summed over each site's coin states; the
         junction sums its L, R and Down components."""
         n = self.topology.cycle_size
         lower, upper = self._values
-        probs = lower**2 + upper**2
+        probs = (lower**2 + upper**2) * self._scale()
         cycle, halfline = probs[:n], probs[n:]
         cycle[0] += halfline[0]
         halfline[0] = 0.0
         return cycle, halfline
 
+    def _trim_tail(self) -> None:
+        self._values *= 2.0 ** -(_driver._TRIM_PERIOD // 2)  # exact for values >= tiny
+        super()._trim_tail()
+
     def _kernel(self, values, new, width):
         n = self.topology.cycle_size
         (a, b), (na, nb) = values, new
-        # Hadamard stencil gathered at the target column:
-        # Left/Down [c] <- [c+1], Right/Up [c] <- [c-1]
+        # Hadamard stencil, without its weight, gathered at the target
+        # column: Left/Down [c] <- [c+1], Right/Up [c] <- [c-1]
         a_up, b_up, to_lower = a[1 : width + 1], b[1 : width + 1], na[:width]
         a_down, b_down, to_higher = a[: width - 1], b[: width - 1], nb[1:width]
-        scaled = new[:, :width]
-        add, subtract, multiply = np.add, np.subtract, np.multiply
+        add, subtract, grover = np.add, np.subtract, math.sqrt(2.0 / 9.0)
 
         def step():
             # junction: Grover coin over (L, R, Down), routed to [n-1]L, [1]R,
-            # (1)Up; times the rounded 1/3, not / 3: the golden artifact
-            # digests pin it
-            l0, r0, d0 = a[0], b[0], a[n]
+            # (1)Up, times sqrt(2) for the gain: grover is sqrt(2) / 3
+            l0, r0, d0 = a.item(0), b.item(0), a.item(n)
             add(a_up, b_up, out=to_lower)
             subtract(a_down, b_down, out=to_higher)
-            multiply(scaled, SQRT_HALF, out=scaled)
             # rewire the junction and the seam between [n-1] and half-line
-            # site 0; nb[0] held a stale value, scaled and now overwritten
-            na[n - 1] = (2.0 * (r0 + d0) - l0) * (1.0 / 3.0)
+            # site 0; nb[0] held a stale value, now overwritten
+            na[n - 1] = (2.0 * (r0 + d0) - l0) * grover
             nb[0] = nb[n]  # the wrap [n-1] -> [0]R, which the pass put at column n
-            nb[1] = (2.0 * (l0 + d0) - r0) * (1.0 / 3.0)
+            nb[1] = (2.0 * (l0 + d0) - r0) * grover
             nb[n] = 0.0
-            nb[n + 1] = (2.0 * (l0 + r0) - d0) * (1.0 / 3.0)
+            nb[n + 1] = (2.0 * (l0 + r0) - d0) * grover
 
         return step
 

@@ -1,5 +1,5 @@
 """The shared engine's launch/read path, blocks of steps and snapshot loop,
-on both walks."""
+on both walks, and the classical walk against a plain copy of its rule."""
 
 import numpy as np
 import pytest
@@ -104,6 +104,24 @@ def test_negative_advance_is_rejected_and_zero_is_a_no_op(topo, model):
     assert walk._values.tobytes() == before
 
 
+@pytest.mark.parametrize("steps", [2.5, 0.5, "3"])
+@pytest.mark.parametrize("model", sorted(WALKS))
+def test_non_integral_step_counts_are_rejected_before_stepping(model, steps):
+    launch, evolve = WALKS[model]
+    walk = launch(LollipopTopology(5))
+    walk.advance(3)
+    extent, before = walk.extent, walk._values.tobytes()
+    with pytest.raises(ValueError, match="steps must be >= 0 and an integer"):
+        walk.advance(steps)
+    with pytest.raises(ValueError, match="total_steps must be >= 0 and an integer"):
+        evolve(walk, steps, [0])
+    assert walk.time == 3
+    assert walk.extent == extent
+    assert walk._values.tobytes() == before
+    walk.advance(2.0)  # integral, as snapshot times may be
+    assert walk.time == 5
+
+
 @pytest.mark.parametrize("times", [[2.5, 7.9], [0, 4.5]])
 @pytest.mark.parametrize("model", sorted(WALKS))
 def test_non_integral_snapshot_times_are_rejected(topo, model, times):
@@ -167,3 +185,76 @@ def test_advance_in_chunks_equals_single_steps_bit_for_bit(model, region, data):
         assert chunked._values.tobytes() == single._values.tobytes()
     assert trims >= 2
     assert start or len(extents) >= 3  # two growths at least
+
+
+# --- the classical walk against a plain copy of its half-split rule ---------
+
+TINY = np.finfo(np.float64).tiny
+# below this the engine's one rounding at the trim and the reference's
+# rounding at each halving may differ
+EQUAL_ABOVE = 1e-300
+
+
+class HalfSplitReference:
+    """The classical rule with a halving pass: halve every mass, then gather
+    it at the neighbours, the junction sending a third each way; trim the
+    half-line tail every 64 steps.  Plain float64, no gain, one step at a
+    time, with the engine's buffer growth so that extents can be compared."""
+
+    def __init__(self, dist):
+        snap = position_distribution(dist)
+        self.cycle = snap.cycle_probs.copy()
+        self.ray = snap.halfline_probs.copy()  # index 0 unused
+        self.frontier = dist._frontier
+        self.time = dist.time
+
+    @property
+    def extent(self):
+        return self.ray.size - 1
+
+    def advance(self, steps):
+        for _ in range(steps):
+            if self.frontier + 2 > self.extent:
+                grown = np.zeros(max(2 * self.extent, self.frontier + 2) + 1)
+                grown[: self.ray.size] = self.ray
+                self.ray = grown
+            self.step()
+
+    def step(self):
+        c, r, n = self.cycle, self.ray, self.cycle.size
+        hc, hr = 0.5 * c, 0.5 * r
+        third = (1.0 / 3.0) * c[0]
+        cycle, ray = np.empty(n), np.zeros(r.size)
+        cycle[0] = hc[1] + (hc[n - 1] + hr[1])
+        cycle[2 : n - 1] = hc[3:n] + hc[1 : n - 2]
+        cycle[1] = hc[2] + third
+        cycle[n - 1] = hc[n - 2] + third
+        ray[1] = hr[2] + third
+        ray[2:-1] = hr[3:] + hr[1:-2]
+        self.cycle, self.ray = cycle, ray
+        self.frontier += 1
+        self.time += 1
+        if self.time % 64 == 0:
+            live = np.flatnonzero(self.ray[: self.frontier + 1] >= TINY)
+            self.frontier = int(live[-1]) if live.size else 0
+            self.ray[self.frontier + 1 :] = 0.0
+
+
+@pytest.mark.parametrize("region", ["cycle", "junction", "half"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_classical_masses_match_the_half_split_reference(region, data):
+    dist, start, chunks = data.draw(chunked_launches("classical", region))
+    ref = HalfSplitReference(dist)
+    dist.advance(start)
+    ref.advance(start)
+    for count in [0] + chunks:
+        dist.advance(count)
+        ref.advance(count)
+        snap = position_distribution(dist)
+        assert dist._frontier == ref.frontier
+        assert dist.extent == ref.extent
+        assert snap.halfline_probs.size == ref.ray.size
+        for mine, want in ((snap.cycle_probs, ref.cycle), (snap.halfline_probs, ref.ray)):
+            big = (mine >= EQUAL_ABOVE) | (want >= EQUAL_ABOVE)
+            assert np.array_equal(mine[big], want[big])

@@ -271,3 +271,68 @@ def test_copy_is_detached(topo):
             assert dup.amplitude(HalfLineNode(x), coin) == fresh.amplitude(
                 HalfLineNode(x), coin
             )
+
+
+# --- accuracy against the rule in long double -------------------------------
+
+ACCURACY_STEPS = 3000
+ACCURACY_CHECKS = (1, 2, 63, 64, 65, 1000, 2999, ACCURACY_STEPS)
+
+
+def longdouble_step(left, right, down, up):
+    """One step of the walk rule in long double, written from the rule itself.
+
+    `left`/`right` hold the cycle's coins; `down`/`up` the half-line's, with
+    `down[0]` the junction's Down coin and `up[0]` unused."""
+    n = left.size
+    s, third = np.sqrt(np.longdouble(0.5)), np.longdouble(1) / 3
+    l0, r0, d0 = left[0], right[0], down[0]
+    new = [np.zeros_like(v) for v in (left, right, down, up)]
+    n_left, n_right, n_down, n_up = new
+    # cycle nodes 1..n-1: (L + R)/sqrt(2) moves left, (L - R)/sqrt(2) right
+    n_left[: n - 1] = s * (left[1:] + right[1:])
+    n_right[2:] = s * (left[1 : n - 1] - right[1 : n - 1])
+    n_right[0] = s * (left[n - 1] - right[n - 1])
+    # half-line sites x >= 1: (D + U)/sqrt(2) moves down, (D - U)/sqrt(2) up
+    n_down[:-1] = s * (down[1:] + up[1:])
+    n_up[2:] = s * (down[1:-1] - up[1:-1])
+    # the junction's Grover coin over (L, R, Down) to [n-1]L, [1]R, (1)Up
+    n_left[n - 1] = (2 * (r0 + d0) - l0) * third
+    n_right[1] = (2 * (l0 + d0) - r0) * third
+    n_up[1] = (2 * (l0 + r0) - d0) * third
+    return new
+
+
+def read_amplitudes(state, sites):
+    """(left, right, down, up) of `state`, as `longdouble_step` takes them,
+    through the public accessor."""
+    n = state.topology.cycle_size
+    left = [state.amplitude(CycleNode(k), Coin.LEFT) for k in range(n)]
+    right = [state.amplitude(CycleNode(k), Coin.RIGHT) for k in range(n)]
+    down = [state.amplitude(CycleNode(0), Coin.DOWN)]
+    down += [state.amplitude(HalfLineNode(x), Coin.DOWN) for x in range(1, sites)]
+    up = [0.0] + [state.amplitude(HalfLineNode(x), Coin.UP) for x in range(1, sites)]
+    return [np.array(v, np.longdouble) for v in (left, right, down, up)]
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is no wider here"
+)
+@pytest.mark.parametrize(
+    "site,coin",
+    [(None, Coin.RIGHT), (CycleNode(0), Coin.DOWN), (HalfLineNode(2), Coin.UP)],
+    ids=["cycle", "junction-down", "half"],
+)
+@pytest.mark.parametrize("n", [3, 4, 7, 25])
+def test_amplitudes_track_long_double_arithmetic(n, site, coin):
+    topo = LollipopTopology(n)
+    state = make_basis_state(topo, site or CycleNode(n // 2), coin)
+    sites = ACCURACY_STEPS + 5  # past the launch's light cone
+    ref = read_amplitudes(state, sites)
+    for t in range(1, ACCURACY_STEPS + 1):
+        ref = longdouble_step(*ref)
+        if t in ACCURACY_CHECKS:
+            state.advance(t - state.time)
+            got = read_amplitudes(state, sites)
+            error = max(float(np.max(np.abs(g - r))) for g, r in zip(got, ref))
+            assert error <= t * 2.0**-52

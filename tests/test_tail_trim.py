@@ -51,14 +51,20 @@ def advance(state, steps):
     return state
 
 
+# A walk's row gathers a gain of 2**32 (quantum) or 2**64 (classical) over
+# the 64 steps between trims; the trim renormalizes it exactly.
+RENORM = {"quantum": 2.0**-32, "classical": 2.0**-64}
+
+
 def untrimmed_step(state):
     """Cycle and half-line columns after one run of the walk's one-step
-    kernel alone."""
+    kernel alone, from one step before a trim, renormalized."""
     dup = state.copy()
     dup.reserve(dup._frontier + 2)
     n = state.topology.cycle_size
     dup._kernel(dup._values, dup._back, n + dup._frontier + 2)()
-    return dup._back[:, :n], dup._back[:, n:], dup._frontier + 1
+    new = dup._back * RENORM[state.SOURCE]
+    return new[:, :n], new[:, n:], dup._frontier + 1
 
 
 def discarded(model, values):
@@ -134,6 +140,30 @@ def test_planted_subnormal_band_is_trimmed(topo, model):
     for mine, ref in zip(state._values[:, n:], clean._values[:, n:]):
         normal = (np.abs(mine) >= TINY) | (np.abs(ref) >= TINY)
         assert np.array_equal(mine[normal], ref[normal])
+
+
+@pytest.mark.parametrize("model", WALKS)
+def test_band_planted_at_gain_one_outlives_renormalization_and_is_cut(topo, model):
+    # planted right after a trim, where the row's gain is 1, the band still
+    # holds subnormals after the next renormalization, so the zeroing itself
+    # must remove it
+    launch, _ = WALKS[model]
+    state = advance(launch(topo), 128)
+    edge, width = state._frontier, 300
+    state.reserve(edge + width + 2)
+    n = topo.cycle_size
+    state._values[:, n + edge + 1 : n + edge + width + 1] = 5e-324
+    state._frontier = edge + width
+    advance(state, 63)
+    _, ray, light_cone = untrimmed_step(state)
+    # past the walker's reach (edge + 64) only band residue is left
+    assert np.any(ray[:, edge + 65 : light_cone + 1])
+    assert np.all(np.abs(ray[:, edge + 65 :]) < TINY)
+    state.step()
+    keep = state._frontier
+    assert keep <= edge + 64
+    for buf in (state._values, state._back):
+        assert not buf[:, n + keep + 1 :].any()
 
 
 @pytest.mark.parametrize(
