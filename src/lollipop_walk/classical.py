@@ -25,6 +25,7 @@ class ClassicalDistribution(_driver.TwoBufferWalk):
 
     _COMPONENTS = 1
     SOURCE = "classical"
+    _TRIM_RENORM = 2.0**-_driver._TRIM_PERIOD  # a step gains 2 (no halving)
 
     @staticmethod
     def _slot(topology, site, coin):
@@ -46,28 +47,23 @@ class ClassicalDistribution(_driver.TwoBufferWalk):
         n = self.topology.cycle_size
         return row[:n], row[n:]
 
-    def _trim_tail(self) -> None:
-        self._values *= 2.0**-_driver._TRIM_PERIOD  # exact for masses >= tiny
-        super()._trim_tail()
-
     def _kernel(self, values, new, width):
         n = self.topology.cycle_size
-        (v,), (nv,) = values, new
+        v, nv = values[0], new[0]
         # both neighbours, without halving, gathered at the target column
         from_higher, from_lower, to_row = v[2 : width + 1], v[: width - 1], nv[1:width]
+        mv, mnv = memoryview(v), memoryview(nv)
         add = np.add
 
         def step():
-            third = 2.0 * ((1.0 / 3.0) * v.item(0))
-            add(from_higher, from_lower, out=to_row)
-            # rewire the junction and the seam between [n-1] and half-line
-            # site 0: [0] gathers [1], [n-1] and half-line site 1, and the
-            # junction sends a doubled third to [1], [n-1] and half-line site 1
-            nv[0] = v.item(1) + (v.item(n - 1) + v.item(n + 1))
-            nv[1] = v.item(2) + third
-            nv[n - 1] += third
-            nv[n + 1] += third
-            nv[n] = 0.0
+            # park the junction's doubled third in its own column and in the
+            # unused column n, so that the pass delivers it to [1], [n-1] and
+            # half-line site 1; v is the next step's target, which rewrites both
+            mv[0] = mv[n] = 2.0 * ((1.0 / 3.0) * mv[0])
+            add(from_higher, from_lower, to_row)
+            # [0] gathers [1], [n-1] and half-line site 1; column n stays unused
+            mnv[0] = mv[1] + (mv[n - 1] + mv[n + 1])
+            mnv[n] = 0.0
 
         return step
 

@@ -44,6 +44,8 @@ class WalkerState(_driver.TwoBufferWalk):
 
     _COMPONENTS = 2
     SOURCE = "quantum"
+    # a step gains sqrt(2), so a trim period gains 2**32
+    _TRIM_RENORM = 2.0 ** -(_driver._TRIM_PERIOD // 2)
 
     @staticmethod
     def _slot(topology, site, coin):
@@ -75,32 +77,30 @@ class WalkerState(_driver.TwoBufferWalk):
         halfline[0] = 0.0
         return cycle, halfline
 
-    def _trim_tail(self) -> None:
-        self._values *= 2.0 ** -(_driver._TRIM_PERIOD // 2)  # exact for values >= tiny
-        super()._trim_tail()
-
     def _kernel(self, values, new, width):
         n = self.topology.cycle_size
-        (a, b), (na, nb) = values, new
+        a, b, na, nb = values[0], values[1], new[0], new[1]
         # Hadamard stencil, without its weight, gathered at the target
         # column: Left/Down [c] <- [c+1], Right/Up [c] <- [c-1]
         a_up, b_up, to_lower = a[1 : width + 1], b[1 : width + 1], na[:width]
         a_down, b_down, to_higher = a[: width - 1], b[: width - 1], nb[1:width]
+        # scalar access through memoryviews costs less than .item()/__setitem__
+        ma, mb, mna, mnb = map(memoryview, (a, b, na, nb))
         add, subtract, grover = np.add, np.subtract, math.sqrt(2.0 / 9.0)
 
         def step():
             # junction: Grover coin over (L, R, Down), routed to [n-1]L, [1]R,
             # (1)Up, times sqrt(2) for the gain: grover is sqrt(2) / 3
-            l0, r0, d0 = a.item(0), b.item(0), a.item(n)
-            add(a_up, b_up, out=to_lower)
-            subtract(a_down, b_down, out=to_higher)
+            l0, r0, d0 = ma[0], mb[0], ma[n]
+            add(a_up, b_up, to_lower)
+            subtract(a_down, b_down, to_higher)
             # rewire the junction and the seam between [n-1] and half-line
             # site 0; nb[0] held a stale value, now overwritten
-            na[n - 1] = (2.0 * (r0 + d0) - l0) * grover
-            nb[0] = nb[n]  # the wrap [n-1] -> [0]R, which the pass put at column n
-            nb[1] = (2.0 * (l0 + d0) - r0) * grover
-            nb[n] = 0.0
-            nb[n + 1] = (2.0 * (l0 + r0) - d0) * grover
+            mna[n - 1] = (2.0 * (r0 + d0) - l0) * grover
+            mnb[0] = mnb[n]  # the wrap [n-1] -> [0]R, which the pass put at column n
+            mnb[1] = (2.0 * (l0 + d0) - r0) * grover
+            mnb[n] = 0.0
+            mnb[n + 1] = (2.0 * (l0 + r0) - d0) * grover
 
         return step
 

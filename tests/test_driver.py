@@ -104,7 +104,9 @@ def test_negative_advance_is_rejected_and_zero_is_a_no_op(topo, model):
     assert walk._values.tobytes() == before
 
 
-@pytest.mark.parametrize("steps", [2.5, 0.5, "3"])
+@pytest.mark.parametrize(
+    "steps", [2.5, 0.5, "3", float("inf"), float("-inf"), float("nan")]
+)
 @pytest.mark.parametrize("model", sorted(WALKS))
 def test_non_integral_step_counts_are_rejected_before_stepping(model, steps):
     launch, evolve = WALKS[model]
@@ -122,7 +124,10 @@ def test_non_integral_step_counts_are_rejected_before_stepping(model, steps):
     assert walk.time == 5
 
 
-@pytest.mark.parametrize("times", [[2.5, 7.9], [0, 4.5]])
+@pytest.mark.parametrize(
+    "times",
+    [[2.5, 7.9], [0, 4.5], [0, float("inf")], [float("-inf"), 3], [float("nan")]],
+)
 @pytest.mark.parametrize("model", sorted(WALKS))
 def test_non_integral_snapshot_times_are_rejected(topo, model, times):
     launch, evolve = WALKS[model]
@@ -255,6 +260,28 @@ def test_classical_masses_match_the_half_split_reference(region, data):
         assert dist._frontier == ref.frontier
         assert dist.extent == ref.extent
         assert snap.halfline_probs.size == ref.ray.size
+        for mine, want in ((snap.cycle_probs, ref.cycle), (snap.halfline_probs, ref.ray)):
+            big = (mine >= EQUAL_ABOVE) | (want >= EQUAL_ABOVE)
+            assert np.array_equal(mine[big], want[big])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [3, 7])
+def test_parked_third_never_reaches_a_reader(n, steps):
+    # the kernel parks the junction's outflow in columns 0 and n of its
+    # source buffer; after advance the front buffer must hold none of it
+    topo = LollipopTopology(n)
+    dist = make_point_distribution(topo, CycleNode(0))
+    ref = HalfSplitReference(dist)
+    dist.advance(steps)
+    ref.advance(steps)
+    dup = dist.copy()
+    for walk, more in ((dist, 0), (dup, 3)):
+        walk.advance(more)
+        ref.advance(more)
+        assert walk._values[0, n] == 0.0 and not np.signbit(walk._values[0, n])
+        snap = position_distribution(walk)
+        assert snap.halfline_probs[0] == 0.0
         for mine, want in ((snap.cycle_probs, ref.cycle), (snap.halfline_probs, ref.ray)):
             big = (mine >= EQUAL_ABOVE) | (want >= EQUAL_ABOVE)
             assert np.array_equal(mine[big], want[big])

@@ -123,8 +123,10 @@ def test_trim_only_cuts_the_tail_and_within_its_budget(topo, model):
 
 @pytest.mark.parametrize("model", WALKS)
 def test_planted_subnormal_band_is_trimmed(topo, model):
+    # planted right after a trim, where the row's gain is 1, so that the
+    # band is still subnormal, not rounded to zero, when the trims scan it
     launch, _ = WALKS[model]
-    state = advance(launch(topo), 100)
+    state = advance(launch(topo), 128)
     edge, width = state._frontier, 300
     state.reserve(edge + width + 2)
     clean = state.copy()
@@ -140,6 +142,8 @@ def test_planted_subnormal_band_is_trimmed(topo, model):
     for mine, ref in zip(state._values[:, n:], clean._values[:, n:]):
         normal = (np.abs(mine) >= TINY) | (np.abs(ref) >= TINY)
         assert np.array_equal(mine[normal], ref[normal])
+    for buf in (state._values, state._back):
+        assert not buf[:, n + state._frontier + 1 :].any()
 
 
 @pytest.mark.parametrize("model", WALKS)
@@ -162,6 +166,27 @@ def test_band_planted_at_gain_one_outlives_renormalization_and_is_cut(topo, mode
     state.step()
     keep = state._frontier
     assert keep <= edge + 64
+    for buf in (state._values, state._back):
+        assert not buf[:, n + keep + 1 :].any()
+
+
+@pytest.mark.parametrize("model", WALKS)
+def test_trim_falls_back_to_a_full_scan_when_the_window_is_dead(topo, model):
+    # claim a frontier 300 zero sites past the walker's, so that at the next
+    # trim the last live site lies far behind the scanned window
+    launch, _ = WALKS[model]
+    state = advance(launch(topo), 128)
+    state.reserve(state._frontier + 302)
+    state._frontier += 300
+    advance(state, 63)
+    _, ray, light_cone = untrimmed_step(state)
+    live = np.flatnonzero((np.abs(ray[:, : light_cone + 1]) >= TINY).any(axis=0))
+    want = int(live[-1])
+    assert want < light_cone + 1 - 2 * 64
+    state.step()
+    n, keep = topo.cycle_size, state._frontier
+    assert keep == want
+    assert np.array_equal(state._values[:, n : n + keep + 1], ray[:, : keep + 1])
     for buf in (state._values, state._back):
         assert not buf[:, n + keep + 1 :].any()
 
