@@ -11,28 +11,29 @@ growth, so that the buffer grows at the same frontiers step by step.  After
 t steps from a site at offset x the support cannot pass half-line site
 x + t, so a row that long would hold the infinite half-line exactly.
 
-An engine's row may hold its values times a gain that depends only on
-`time % _TRIM_PERIOD`, so that a step needs no scaling pass; each trim
-removes that gain, an exact power of two, from the live columns (those up
-to just past the frontier; the rest hold +0.0) before it scans.  A step is its array passes plus a few scalar fix-ups at the
-junction and the seam; a kernel may write scratch values into columns 0
-and n of its source buffer, because that buffer is the next step's target
-and the next step rewrites both.
+Each kernel writes the next state times a gain under which the walk's
+probabilities double every step (sqrt(2) on quantum amplitudes, 2 on
+classical masses), so that a step needs no scaling pass: the row holds
+the probabilities times 2**(time % _TRIM_PERIOD), which `_scale` undoes
+for readers.  Each trim removes the gain from the row itself, an exact
+power of two, multiplying only the live columns (those up to just past the
+frontier; the rest hold +0.0) before it scans.  A step is its array passes
+plus a few scalar fix-ups at the junction and the seam; a kernel may write
+scratch values into columns 0 and n of its source buffer, because that
+buffer is the next step's target and the next step rewrites both.
 
 Far ahead of the walker the values fall below the smallest normal double
 `tiny` (2.2e-308) to subnormal residue and zeros, while the frontier still
 moves one site per step.  Every `_TRIM_PERIOD` steps the engine therefore
 moves its frontier back to the last half-line site where some component
 is at least `tiny` and zeroes the contiguous tail past it; interior values
-are never touched.  The scan reads the last 2 * _TRIM_PERIOD sites first
-and the rest only when none of those is live.  Each trimmed site held less
-than `tiny` in each of its k components, so a trim discards less than
-k * tiny**2 probability per site for the quantum walk (k = 2) and less
-than tiny mass per site for the classical walk (k = 1).  The step is
-linear and does not grow the 2-norm (quantum) or the 1-norm (classical),
-so a later state is off from the untrimmed one by at most the sum of the
-norms the trims discarded: far below anything a float64 observable
-resolves.
+are never touched.  Each trimmed site held less than `tiny` in each of its
+k components, so a trim discards less than k * tiny**2 probability per
+site for the quantum walk (k = 2) and less than tiny mass per site for the
+classical walk (k = 1).  The step is linear and does not grow the 2-norm
+(quantum) or the 1-norm (classical), so a later state is off from the
+untrimmed one by at most the sum of the norms the trims discarded: far
+below anything a float64 observable resolves.
 
 The engine classes are the only code that knows where a (site, coin) value
 is stored; everything else reads a walk through its accessors and
@@ -46,8 +47,8 @@ import numpy as np
 from . import observables
 
 _MIN_EXTENT = 2
-# steps between tail trims; a trim rescales the live columns and scans a
-# window of them, which costs about as much as one step
+# steps between tail trims; a trim rescales and scans the live columns,
+# which costs about as much as a few steps
 _TRIM_PERIOD = 64
 _TINY = np.finfo(np.float64).tiny
 
@@ -62,16 +63,16 @@ class TwoBufferWalk:
     - `_COMPONENTS`: the number of rows;
     - `SOURCE`: the walk's name ("quantum" or "classical"), carried by its
       snapshots;
-    - `_TRIM_RENORM`: the power of two that undoes the gain the kernel
-      puts on the row over `_TRIM_PERIOD` steps (1.0 for no gain); exact
-      for every value >= tiny;
+    - `_TRIM_RENORM` (required): the power of two that undoes the gain
+      the kernel puts on the row over `_TRIM_PERIOD` steps; exact for
+      every value >= tiny;
     - `_slot(topology, site, coin) -> (component, column)`: where the
       value of one (site, coin) basis state lives, raising ValueError
       unless the topology admits it;
     - `_kernel(values, new, width) -> step`: a zero-argument callable,
       with every view built once, that writes the next state, times the
-      engine's gain if it keeps one,
-      into columns [0, width) of `new` from columns [0, width] of `values`.
+      engine's gain, into columns [0, width) of `new` from columns
+      [0, width] of `values`.
       It may also overwrite columns 0 and n of `values`, which is the next
       step's `new`, so after a step `_values` is whole and `_back` is
       scratch.  Columns past the frontier hold +0.0 and a step keeps them
@@ -162,33 +163,24 @@ class TwoBufferWalk:
             if self.time % _TRIM_PERIOD == 0:
                 self._trim_tail()
 
+    def _scale(self) -> float:
+        """Factor that turns the row's gained probabilities into true ones."""
+        return 2.0 ** -(self.time % _TRIM_PERIOD)
+
     def _trim_tail(self) -> None:
         """Remove the row's gain from its live columns, then move the
         frontier back to the last half-line site where some component is
         at least the smallest normal double, zeroing the contiguous tail
-        past it in the front and back buffers alike.
-
-        The scan looks first at the last 2 * _TRIM_PERIOD half-line sites,
-        where the last live site nearly always is, and at the sites before
-        them only when none of the window is live, so the frontier it
-        finds is that of a full scan.
-        """
+        past it in the front and back buffers alike."""
         n, m = self.topology.cycle_size, self._frontier
         live = self._values[:, : n + m + 2]
         np.multiply(live, self._TRIM_RENORM, live)  # `*=` on a slice copies it back
-        start = max(m + 1 - 2 * _TRIM_PERIOD, 0)
-        keep = start + _last_live(self._values[:, n + start : n + m + 1])
-        if keep < start:
-            keep = max(_last_live(self._values[:, n : n + start]), 0)
+        normal = (np.abs(self._values[:, n : n + m + 1]) >= _TINY).any(axis=0)
+        sites = np.flatnonzero(normal)
+        keep = int(sites[-1]) if sites.size else 0
         self._values[:, n + keep + 1 : n + m + 2] = 0.0
         self._back[:, n + keep + 1 : n + m + 2] = 0.0
         self._frontier = keep
-
-
-def _last_live(columns) -> int:
-    """Index of the last column where some row is at least `tiny`, or -1."""
-    live = (np.abs(columns) >= _TINY).any(axis=0).nonzero()[0]
-    return int(live[-1]) if live.size else -1
 
 
 def _is_integer(value) -> bool:

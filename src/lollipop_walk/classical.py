@@ -33,9 +33,6 @@ class ClassicalDistribution(_driver.TwoBufferWalk):
         offset = topology.cycle_size if isinstance(site, HalfLineNode) else 0
         return 0, offset + site.index
 
-    def _scale(self) -> float:  # the row holds each mass times 2**(time % 64)
-        return 2.0 ** -(self.time % _driver._TRIM_PERIOD)
-
     def probability(self, site: Site) -> float:
         return self._value(site) * self._scale()
 

@@ -55,9 +55,6 @@ class WalkerState(_driver.TwoBufferWalk):
             return HALFLINE_COINS.index(coin), topology.cycle_size + site.index
         return CYCLE_COINS.index(coin), site.index
 
-    def _scale(self) -> float:  # rows hold amplitudes times sqrt(2)**(time % 64)
-        return 2.0 ** -(self.time % _driver._TRIM_PERIOD)
-
     def amplitude(self, site: Site, coin: Coin) -> float:
         """Amplitude of one basis state (0 for half-line sites past the buffer)."""
         return self._value(site, coin) * math.sqrt(self._scale())

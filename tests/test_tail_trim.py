@@ -170,27 +170,6 @@ def test_band_planted_at_gain_one_outlives_renormalization_and_is_cut(topo, mode
         assert not buf[:, n + keep + 1 :].any()
 
 
-@pytest.mark.parametrize("model", WALKS)
-def test_trim_falls_back_to_a_full_scan_when_the_window_is_dead(topo, model):
-    # claim a frontier 300 zero sites past the walker's, so that at the next
-    # trim the last live site lies far behind the scanned window
-    launch, _ = WALKS[model]
-    state = advance(launch(topo), 128)
-    state.reserve(state._frontier + 302)
-    state._frontier += 300
-    advance(state, 63)
-    _, ray, light_cone = untrimmed_step(state)
-    live = np.flatnonzero((np.abs(ray[:, : light_cone + 1]) >= TINY).any(axis=0))
-    want = int(live[-1])
-    assert want < light_cone + 1 - 2 * 64
-    state.step()
-    n, keep = topo.cycle_size, state._frontier
-    assert keep == want
-    assert np.array_equal(state._values[:, n : n + keep + 1], ray[:, : keep + 1])
-    for buf in (state._values, state._back):
-        assert not buf[:, n + keep + 1 :].any()
-
-
 @pytest.mark.parametrize(
     "fixture,share",
     [
