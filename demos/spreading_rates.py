@@ -12,9 +12,9 @@ from lollipop_walk import (
     LollipopTopology,
     evolve_classical,
     evolve_quantum,
-    halfline_moments,
     make_basis_state,
     make_point_distribution,
+    summarize,
 )
 
 topology = LollipopTopology(25)
@@ -29,13 +29,13 @@ c_snaps = dict(evolve_classical(dist, times[-1], times))
 print(f"{'t':>6}  {'quantum mean':>12}  {'quantum std':>11}  "
       f"{'classical mean':>14}  {'classical std':>13}")
 for t in times:
-    q_mean, q_std = halfline_moments(q_snaps[t])
-    c_mean, c_std = halfline_moments(c_snaps[t])
-    print(f"{t:>6}  {q_mean:>12.2f}  {q_std:>11.2f}  {c_mean:>14.2f}  {c_std:>13.2f}")
+    q, c = summarize(q_snaps[t]), summarize(c_snaps[t])
+    print(f"{t:>6}  {q.halfline_mean:>12.2f}  {q.halfline_std:>11.2f}  "
+          f"{c.halfline_mean:>14.2f}  {c.halfline_std:>13.2f}")
 
-_, q1 = halfline_moments(q_snaps[5000])
-_, q2 = halfline_moments(q_snaps[10000])
-_, c1 = halfline_moments(c_snaps[5000])
-_, c2 = halfline_moments(c_snaps[10000])
+q1 = summarize(q_snaps[5000]).halfline_std
+q2 = summarize(q_snaps[10000]).halfline_std
+c1 = summarize(c_snaps[5000]).halfline_std
+c2 = summarize(c_snaps[10000]).halfline_std
 print(f"\nstd growth per time doubling: quantum {q2 / q1:.3f} (ballistic ~2), "
       f"classical {c2 / c1:.3f} (diffusive ~1.414)")

@@ -13,13 +13,8 @@ from .classical import (
     make_point_distribution,
 )
 from .observables import (
-    EmptyHalfLineError,
     PositionDistribution,
     SummaryRecord,
-    cycle_spike,
-    cycle_total,
-    halfline_moments,
-    halfline_total,
     position_distribution,
     summarize,
 )
@@ -52,7 +47,6 @@ __all__ = [
     "Coin",
     "CycleNode",
     "DenseOperator",
-    "EmptyHalfLineError",
     "HalfLineNode",
     "LollipopTopology",
     "PositionDistribution",
@@ -63,12 +57,8 @@ __all__ = [
     "build_dense_stochastic",
     "build_dense_unitary",
     "compare_step",
-    "cycle_spike",
-    "cycle_total",
     "evolve_classical",
     "evolve_quantum",
-    "halfline_moments",
-    "halfline_total",
     "make_basis_state",
     "make_point_distribution",
     "position_distribution",

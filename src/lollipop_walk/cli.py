@@ -6,10 +6,13 @@ Verbs:
                 built-in reference values
   oracle-check  dense-operator unitarity and rule-vs-matrix agreement
 
-`compute_tables_report` returns the benchmarks' `{model: {time: SummaryRecord}}`
-and `format_tables_report` diffs those against the reference constants as it
-renders them.  Sites and cycle sizes range-check themselves in the topology
-types; `run` and `oracle-check` report their ValueError as exit code 1.
+`run` goes from the parsed arguments to the artifact files in one function:
+it checks them, builds the launch state, then steps and writes snapshot by
+snapshot.  `compute_tables_report` returns the benchmarks'
+`{model: {time: SummaryRecord}}` and `format_tables_report` diffs those
+against the reference constants as it renders them.  Sites and cycle sizes
+range-check themselves in the topology types; `run` and `oracle-check`
+report their ValueError as exit code 1.
 
 Exit codes: 0 success, 1 validation error, 2 i/o error, 3 tolerance failure.
 """
@@ -19,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import _driver
@@ -55,56 +57,6 @@ class ConfigError(ValueError):
     """Bad configuration or usage; maps to exit code 1."""
 
 
-@dataclass
-class RunConfig:
-    model: str
-    cycle_size: int
-    start_site: Site
-    start_coin: Coin | None
-    total_steps: int
-    snapshot_times: list[int]
-    output_directory: Path
-    formats: tuple[str, ...] = ("csv", "json")
-
-    def validate(self) -> None:
-        if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.cycle_size > MAX_HALFLINE_SITES:
-            raise ConfigError(
-                f"cycle size {self.cycle_size} exceeds the limit of "
-                f"{MAX_HALFLINE_SITES} sites"
-            )
-        if self.total_steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.total_steps}")
-        offset = self.start_site.index if isinstance(self.start_site, HalfLineNode) else 0
-        if offset + self.total_steps + 2 > MAX_HALFLINE_SITES:
-            raise ConfigError(
-                f"launch offset {offset} + {self.total_steps} steps + 2 exceeds the "
-                f"limit of {MAX_HALFLINE_SITES} half-line sites"
-            )
-        if not self.snapshot_times:
-            raise ConfigError("snapshot times must name at least one time")
-        try:
-            _driver.validate_snapshot_times(self.snapshot_times, self.total_steps)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        unknown = [f for f in self.formats if f not in FORMATS]
-        if unknown or not self.formats:
-            raise ConfigError(f"formats must be a non-empty subset of {FORMATS}")
-        if self.model == "classical" and self.start_coin is not None:
-            raise ConfigError("classical runs take no start coin")
-        if self.model == "quantum" and self.start_coin is None:
-            raise ConfigError("quantum runs need a start coin (e.g. cycle:12:R)")
-        try:
-            topology = LollipopTopology(self.cycle_size)
-            if self.model == "classical":
-                topology.coins_at(self.start_site)
-            else:
-                topology.check_state(self.start_site, self.start_coin)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
 _COIN_LETTERS = {"L": Coin.LEFT, "R": Coin.RIGHT, "D": Coin.DOWN, "U": Coin.UP}
 
 
@@ -133,49 +85,6 @@ def parse_start(text: str) -> tuple[Site, Coin | None]:
         raise ConfigError(str(exc)) from exc
 
 
-def execute_run(config: RunConfig) -> tuple[list[SummaryRecord], list[Path]]:
-    """Run one walk per `config` and write the requested artifact files.
-
-    Each snapshot's files are written as soon as it is taken, so only one
-    snapshot distribution is alive at a time however many are asked for.
-    Stepping stops at the last snapshot time: later steps would write
-    nothing.
-    """
-    config.validate()
-    topology = LollipopTopology(config.cycle_size)
-    if config.model == "quantum":
-        state = make_basis_state(topology, config.start_site, config.start_coin)
-        evolve = evolve_quantum
-    else:
-        state = make_point_distribution(topology, config.start_site)
-        evolve = evolve_classical
-
-    outdir = config.output_directory
-    outdir.mkdir(parents=True, exist_ok=True)
-    records = []
-    written = []
-
-    def emit(path: Path, writer, *args) -> None:
-        writer(path, *args)
-        written.append(path)
-
-    for t in config.snapshot_times:
-        [(_, dist)] = evolve(state, t - state.time, [t - state.time])
-        records.append(summarize(dist))
-        if "csv" in config.formats:
-            emit(outdir / f"distribution_t{t}.csv", write_distribution_csv, dist)
-        if "json" in config.formats:
-            emit(outdir / f"distribution_t{t}.json", write_distribution_json, dist)
-        if "svg" in config.formats:
-            emit(outdir / f"cycle_t{t}.svg", write_svg, render_cycle_svg(dist))
-            emit(outdir / f"halfline_t{t}.svg", write_svg, render_halfline_svg(dist))
-    if "csv" in config.formats:
-        emit(outdir / "summary.csv", write_summary_csv, records)
-    if "json" in config.formats:
-        emit(outdir / "summary.json", write_summary_json, records)
-    return records, written
-
-
 # --- tables ----------------------------------------------------------------
 
 BENCHMARK_TIMES = (20000, 50000, 100000)
@@ -194,11 +103,12 @@ TOTAL_TOLERANCE = {"quantum": 5e-3, "classical": 5e-4}
 SPIKE_TOLERANCE = {"quantum": 2e-3, "classical": 1e-4}
 
 
-def compute_tables_report(progress=None) -> dict[str, dict[int, SummaryRecord]]:
+def compute_tables_report() -> dict[str, dict[int, SummaryRecord]]:
     """Run both 25-node benchmarks (about 8 seconds) and summarize them.
 
     Returns `{model: {time: SummaryRecord}}` at each of BENCHMARK_TIMES, the
-    records `format_tables_report` diffs against the reference values.
+    records `format_tables_report` diffs against the reference values.  A
+    line on stderr announces each benchmark as it starts.
     """
     topology = LollipopTopology(25)
     launches = (
@@ -209,8 +119,7 @@ def compute_tables_report(progress=None) -> dict[str, dict[int, SummaryRecord]]:
     )
     records = {}
     for model, state, evolve in launches:
-        if progress:
-            progress(f"running {model} benchmark ({BENCHMARK_STEPS} steps)")
+        print(f"running {model} benchmark ({BENCHMARK_STEPS} steps)", file=sys.stderr)
         snaps = evolve(state, BENCHMARK_STEPS, BENCHMARK_TIMES)
         records[model] = {t: summarize(d) for t, d in snaps}
     return records
@@ -381,21 +290,74 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
+    """Run one walk and write the requested artifact files.
+
+    Every input is checked, and the launch state built, before the output
+    directory is made.  Each snapshot's files are written as soon as it is
+    taken, so only one snapshot distribution is alive at a time however many
+    are asked for.  Stepping stops at the last snapshot time: later steps
+    would write nothing.
+    """
     site, coin = parse_start(args.start)
-    snapshots = args.snapshots if args.snapshots is not None else [args.steps]
-    config = RunConfig(
-        model=args.model,
-        cycle_size=args.cycle_size,
-        start_site=site,
-        start_coin=coin,
-        total_steps=args.steps,
-        snapshot_times=snapshots,
-        output_directory=Path(args.out),
-        formats=tuple(f for f in args.format.split(",") if f != ""),
-    )
-    records, written = execute_run(config)
-    for path in written:
+    steps = args.steps
+    snapshots = args.snapshots if args.snapshots is not None else [steps]
+    formats = [f for f in args.format.split(",") if f != ""]
+    try:
+        if args.cycle_size > MAX_HALFLINE_SITES:
+            raise ValueError(
+                f"cycle size {args.cycle_size} exceeds the limit of "
+                f"{MAX_HALFLINE_SITES} sites"
+            )
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
+        offset = site.index if isinstance(site, HalfLineNode) else 0
+        if offset + steps + 2 > MAX_HALFLINE_SITES:
+            raise ValueError(
+                f"launch offset {offset} + {steps} steps + 2 exceeds the "
+                f"limit of {MAX_HALFLINE_SITES} half-line sites"
+            )
+        if not snapshots:
+            raise ValueError("snapshot times must name at least one time")
+        _driver.validate_snapshot_times(snapshots, steps)
+        if not formats or not set(formats) <= set(FORMATS):
+            raise ValueError(f"formats must be a non-empty subset of {FORMATS}")
+        if args.model == "classical" and coin is not None:
+            raise ValueError("classical runs take no start coin")
+        if args.model == "quantum" and coin is None:
+            raise ValueError("quantum runs need a start coin (e.g. cycle:12:R)")
+        topology = LollipopTopology(args.cycle_size)
+        if args.model == "quantum":
+            state = make_basis_state(topology, site, coin)
+            evolve = evolve_quantum
+        else:
+            state = make_point_distribution(topology, site)
+            evolve = evolve_classical
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+
+    def emit(name: str, writer, *inputs) -> None:
+        path = outdir / name
+        writer(path, *inputs)
         print(f"wrote {path}")
+
+    records = []
+    for t in snapshots:
+        [(_, dist)] = evolve(state, t - state.time, [t - state.time])
+        records.append(summarize(dist))
+        if "csv" in formats:
+            emit(f"distribution_t{t}.csv", write_distribution_csv, dist)
+        if "json" in formats:
+            emit(f"distribution_t{t}.json", write_distribution_json, dist)
+        if "svg" in formats:
+            emit(f"cycle_t{t}.svg", write_svg, render_cycle_svg(dist))
+            emit(f"halfline_t{t}.svg", write_svg, render_halfline_svg(dist))
+    if "csv" in formats:
+        emit("summary.csv", write_summary_csv, records)
+    if "json" in formats:
+        emit("summary.json", write_summary_json, records)
     final = records[-1]
     print(
         f"final snapshot t={final.time}: cycle_total="
@@ -410,10 +372,7 @@ def _cmd_tables(args) -> int:
         raise ConfigError(
             f"tolerance must be a finite number >= 0, got {args.tolerance}"
         )
-    report = compute_tables_report(
-        progress=lambda msg: print(msg, file=sys.stderr)
-    )
-    text, ok = format_tables_report(report, args.tolerance)
+    text, ok = format_tables_report(compute_tables_report(), args.tolerance)
     print(text)
     return 0 if ok else 3
 

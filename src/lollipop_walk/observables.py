@@ -8,10 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class EmptyHalfLineError(ValueError):
-    """Raised when a half-line statistic is requested but the half-line is empty."""
-
-
 @dataclass(frozen=True)
 class PositionDistribution:
     """Probability of finding the walker at each site, at one instant.
@@ -55,50 +51,28 @@ def position_distribution(state) -> PositionDistribution:
     return PositionDistribution(state.time, cycle, halfline, state.SOURCE)
 
 
-def cycle_total(dist: PositionDistribution) -> float:
-    """Total probability on the cycle, junction included."""
-    return float(dist.cycle_probs.sum())
-
-
-def halfline_total(dist: PositionDistribution) -> float:
-    """Total probability on the half-line (sites >= 1)."""
-    return float(dist.halfline_probs.sum())
-
-
-def cycle_spike(dist: PositionDistribution) -> tuple[int, float]:
-    """Highest-probability cycle node and its height; ties go to the lowest index."""
-    site = int(np.argmax(dist.cycle_probs))
-    return site, float(dist.cycle_probs[site])
-
-
-def halfline_moments(dist: PositionDistribution) -> tuple[float, float]:
-    """Mean and standard deviation of the half-line position, conditioned
-    on the walker being on the half-line."""
-    total = halfline_total(dist)
-    if total == 0.0:
-        raise EmptyHalfLineError(
-            f"half-line carries no probability at time {dist.time}"
-        )
-    sites = np.arange(dist.halfline_probs.size)
-    mean = float((sites * dist.halfline_probs).sum() / total)
-    var = float(((sites - mean) ** 2 * dist.halfline_probs).sum() / total)
-    return mean, math.sqrt(max(var, 0.0))
-
-
 def summarize(dist: PositionDistribution) -> SummaryRecord:
-    """Bundle the statistics above into one record (for tables and files)."""
-    spike_site, spike_height = cycle_spike(dist)
-    hl_total = halfline_total(dist)
+    """Statistics of one snapshot, for tables and files.
+
+    The cycle total includes the junction, and a spike height tie goes to
+    the lowest cycle index.  The half-line moments are those of the
+    position conditioned on the walker being on the half-line.
+    """
+    cycle, halfline = dist.cycle_probs, dist.halfline_probs
+    spike_site = int(np.argmax(cycle))
+    hl_total = float(halfline.sum())
+    mean = std = None
     if hl_total > 0.0:
-        mean, std = halfline_moments(dist)
-    else:
-        mean, std = None, None
+        sites = np.arange(halfline.size)
+        mean = float((sites * halfline).sum() / hl_total)
+        var = float(((sites - mean) ** 2 * halfline).sum() / hl_total)
+        std = math.sqrt(max(var, 0.0))
     return SummaryRecord(
         time=dist.time,
-        cycle_total=cycle_total(dist),
+        cycle_total=float(cycle.sum()),
         halfline_total=hl_total,
         spike_site=spike_site,
-        spike_height=spike_height,
+        spike_height=float(cycle[spike_site]),
         halfline_mean=mean,
         halfline_std=std,
     )

@@ -13,7 +13,6 @@ from lollipop_walk import (
     LollipopTopology,
     build_dense_unitary,
     compare_step,
-    halfline_moments,
     summarize,
     unitarity_defect,
 )
@@ -140,10 +139,10 @@ def test_criterion_6_conservation(quantum_cycle12, classical_cycle12):
 def test_criterion_7_spreading_dichotomy(quantum_cycle12, classical_cycle12):
     q_snaps, _ = quantum_cycle12
     c_snaps, _ = classical_cycle12
-    _, q5 = halfline_moments(q_snaps[5000])
-    _, q10 = halfline_moments(q_snaps[10000])
-    _, c5 = halfline_moments(c_snaps[5000])
-    _, c10 = halfline_moments(c_snaps[10000])
+    q5 = summarize(q_snaps[5000]).halfline_std
+    q10 = summarize(q_snaps[10000]).halfline_std
+    c5 = summarize(c_snaps[5000]).halfline_std
+    c10 = summarize(c_snaps[10000]).halfline_std
     q_ratio = q10 / q5
     c_ratio = c10 / c5
     ok = 1.8 <= q_ratio <= 2.2 and 1.32 <= c_ratio <= 1.52

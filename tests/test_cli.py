@@ -11,7 +11,6 @@ from lollipop_walk import Coin, CycleNode, HalfLineNode, SummaryRecord, cli, obs
 from lollipop_walk._driver import TwoBufferWalk
 from lollipop_walk.cli import (
     ConfigError,
-    RunConfig,
     format_tables_report,
     main,
     parse_start,
@@ -54,52 +53,56 @@ def test_parse_start_rejections(text, capsys, tmp_path):
     assert not out.exists()
 
 
-# --- config validation ------------------------------------------------------
+# --- input checks -----------------------------------------------------------
 
-def good_config(tmp_path, **overrides):
-    kwargs = dict(
-        model="quantum",
-        cycle_size=25,
-        start_site=CycleNode(12),
-        start_coin=Coin.RIGHT,
-        total_steps=4,
-        snapshot_times=[0, 4],
-        output_directory=tmp_path / "out",
-    )
-    kwargs.update(overrides)
-    return RunConfig(**kwargs)
+GOOD_RUN = dict(model="quantum", start="cycle:12:R", steps="4", snapshots="0,4")
 
 
-def test_validate_accepts_good_config(tmp_path):
-    good_config(tmp_path).validate()
+def assert_run_succeeds(tmp_path, capsys, **overrides):
+    out = tmp_path / "out"
+    assert main(run_args(out, **{**GOOD_RUN, **overrides})) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "summary.csv").exists()
+
+
+def test_validate_accepts_good_config(tmp_path, capsys):
+    assert_run_succeeds(tmp_path, capsys)
+
+
+def test_classical_config_takes_no_coin(tmp_path, capsys):
+    assert_run_succeeds(tmp_path, capsys, model="classical", start="cycle:12")
+
+
+REJECTED_RUNS = [
+    ({"model": "thermal"}, "argument --model: invalid choice: 'thermal'"),
+    ({"cycle_size": "2"}, "cycle_size must be >= 3, got 2"),
+    ({"steps": "-1"}, "steps must be >= 0, got -1"),
+    ({"snapshots": "4,0"}, "snapshot times must be strictly increasing: [4, 0]"),
+    ({"snapshots": "0,9"}, "snapshot times must lie in [0, 4]: [0, 9]"),
+    ({"snapshots": "0,0"}, "snapshot times must be strictly increasing: [0, 0]"),
+    ({"format": "csv,pdf"}, "formats must be a non-empty subset of"),
+    ({"format": ""}, "formats must be a non-empty subset of"),
+    ({"start": "cycle:25:R"}, "cycle index 25 out of range for n=25"),
+    ({"start": "cycle:12"}, "quantum runs need a start coin (e.g. cycle:12:R)"),
+    ({"start": "cycle:12:U"}, "coin U not admitted at CycleNode(index=12)"),
+    ({"start": "half:2:L"}, "coin L not admitted at HalfLineNode(index=2)"),
+    ({"model": "classical", "start": "cycle:12:R"}, "classical runs take no start coin"),
+    ({"model": "classical", "start": "cycle:25"}, "cycle index 25 out of range for n=25"),
+]
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"model": "thermal"},
-        {"cycle_size": 2},
-        {"total_steps": -1},
-        {"snapshot_times": [4, 0]},
-        {"snapshot_times": [0, 9]},
-        {"snapshot_times": [0, 0]},
-        {"formats": ("csv", "pdf")},
-        {"formats": ()},
-        {"start_site": CycleNode(25)},
-        {"start_coin": None},
-        {"start_site": CycleNode(12), "start_coin": Coin.UP},
-        {"start_site": HalfLineNode(2), "start_coin": Coin.LEFT},
-        {"model": "classical", "start_coin": Coin.RIGHT},
-        {"model": "classical", "start_coin": None, "start_site": CycleNode(25)},
-    ],
+    "overrides,message",
+    REJECTED_RUNS,
+    ids=[f"overrides{i}" for i in range(len(REJECTED_RUNS))],
 )
-def test_validate_rejections(tmp_path, overrides):
-    with pytest.raises(ConfigError):
-        good_config(tmp_path, **overrides).validate()
-
-
-def test_classical_config_takes_no_coin(tmp_path):
-    good_config(tmp_path, model="classical", start_coin=None).validate()
+def test_validate_rejections(tmp_path, capsys, overrides, message):
+    out = tmp_path / "out"
+    assert main(run_args(out, **{**GOOD_RUN, **overrides})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert not out.exists()
 
 
 # --- run command ------------------------------------------------------------
@@ -510,13 +513,13 @@ def test_failing_rows_render_byte_for_byte():
 
 
 def test_tables_command_exit_codes(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "compute_tables_report", lambda progress=None: fake_report())
+    monkeypatch.setattr(cli, "compute_tables_report", fake_report)
     assert main(["tables"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
     assert main(["tables", "--tolerance", "0.5"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(
-        cli, "compute_tables_report", lambda progress=None: fake_report(skew=2e-5)
+        cli, "compute_tables_report", lambda: fake_report(skew=2e-5)
     )
     assert main(["tables", "--tolerance", "0"]) == 3
     assert "overall: FAIL" in capsys.readouterr().out
@@ -524,7 +527,7 @@ def test_tables_command_exit_codes(monkeypatch, capsys):
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
 def test_tables_rejects_bad_tolerance_before_running(monkeypatch, capsys, tolerance):
-    def no_walk(progress=None):
+    def no_walk():
         raise AssertionError("the benchmark ran")
 
     monkeypatch.setattr(cli, "compute_tables_report", no_walk)
@@ -532,10 +535,25 @@ def test_tables_rejects_bad_tolerance_before_running(monkeypatch, capsys, tolera
     assert capsys.readouterr().err.startswith("error: tolerance")
 
 
-def test_tables_report_shape(monkeypatch):
+def short_benchmarks(monkeypatch):
     # short benchmark times keep the walks cheap; the shape is the same
     monkeypatch.setattr(cli, "BENCHMARK_TIMES", (2, 5, 10))
     monkeypatch.setattr(cli, "BENCHMARK_STEPS", 10)
+
+
+def test_tables_report_announces_each_benchmark_on_stderr(monkeypatch, capsys):
+    short_benchmarks(monkeypatch)
+    cli.compute_tables_report()
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "running quantum benchmark (10 steps)",
+        "running classical benchmark (10 steps)",
+    ]
+    assert captured.out == ""
+
+
+def test_tables_report_shape(monkeypatch):
+    short_benchmarks(monkeypatch)
     records = cli.compute_tables_report()
     assert sorted(records) == ["classical", "quantum"]
     for by_time in records.values():
