@@ -23,7 +23,6 @@ from .oracle import (
     build_dense_stochastic,
     build_dense_unitary,
     compare_step,
-    site_index,
     unitarity_defect,
 )
 from .quantum import (
@@ -62,7 +61,6 @@ __all__ = [
     "make_basis_state",
     "make_point_distribution",
     "position_distribution",
-    "site_index",
     "summarize",
     "unitarity_defect",
     "__version__",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -196,7 +197,7 @@ def oracle_check(n: int, x_max: int, steps: int) -> tuple[str, bool]:
         topology = LollipopTopology(n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    dimension = topology.state_count(x_max)
+    dimension = 2 * n + 1 + 2 * x_max
     if dimension > MAX_ORACLE_DIMENSION:
         raise ConfigError(
             f"dense operator dimension 2n + 1 + 2 x_max = {dimension} exceeds "
@@ -384,6 +385,12 @@ def _cmd_oracle_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -1,4 as an option unless it is one
+    # number; `--snapshots=-1,4` reaches the range check like `--snapshots -1`
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--snapshots" and re.match(r"-\d", argv[i]):
+            argv[i - 1 : i + 1] = ["=".join(argv[i - 1 : i + 1])]
     try:
         args = _build_parser().parse_args(argv)
     except ConfigError as exc:

@@ -88,6 +88,7 @@ REJECTED_RUNS = [
     ({"start": "half:2:L"}, "coin L not admitted at HalfLineNode(index=2)"),
     ({"model": "classical", "start": "cycle:12:R"}, "classical runs take no start coin"),
     ({"model": "classical", "start": "cycle:25"}, "cycle index 25 out of range for n=25"),
+    ({"snapshots": "-1,4"}, "snapshot times must lie in [0, 4]: [-1, 4]"),
 ]
 
 

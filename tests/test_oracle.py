@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,14 @@ from lollipop_walk import (
     compare_step,
     make_basis_state,
     make_point_distribution,
-    site_index,
     unitarity_defect,
 )
-from lollipop_walk.oracle import DenseOperator, interior_state_indices
+from lollipop_walk.oracle import (
+    _dense,
+    _stochastic_images,
+    _unitary_images,
+    interior_state_indices,
+)
 
 
 def test_dimension_is_state_count():
@@ -27,15 +33,51 @@ def test_dimension_is_state_count():
     assert op.kind == "unitary"
 
 
+def test_basis_order():
+    topo = LollipopTopology(3)
+    c0, c1, c2 = CycleNode(0), CycleNode(1), CycleNode(2)
+    h1, h2 = HalfLineNode(1), HalfLineNode(2)
+    L, R, D, U = Coin.LEFT, Coin.RIGHT, Coin.DOWN, Coin.UP
+    unitary = build_dense_unitary(topo, 2)
+    assert unitary.basis == [
+        (c0, L), (c0, R), (c0, D),
+        (c1, L), (c1, R),
+        (c2, L), (c2, R),
+        (h1, D), (h1, U),
+        (h2, D), (h2, U),
+    ]
+    stochastic = build_dense_stochastic(topo, 2)
+    assert stochastic.basis == [c0, c1, c2, h1, h2]
+    for op in (unitary, stochastic):
+        assert op.dimension == len(op.basis) == op.entries.shape[0]
+
+
+def test_images_outside_the_basis_raise():
+    # only the state past the truncation edge may be dropped: a basis cut one
+    # half-line site short leaves an image of half-line site 1 unaddressed
+    topo = LollipopTopology(3)
+    short = build_dense_stochastic(topo, 2).basis[:-1]
+    with pytest.raises(KeyError):
+        _dense("stochastic", topo, 2, short, _stochastic_images, HalfLineNode(3))
+    short = build_dense_unitary(topo, 2).basis[:-2]
+    past_edge = (HalfLineNode(3), Coin.UP)
+    with pytest.raises(KeyError):
+        _dense("unitary", topo, 2, short, _unitary_images, past_edge)
+    with pytest.raises(ValueError):
+        compare_step(topo, 10, 2, CycleNode(1), Coin.DOWN)  # coin not admitted
+    with pytest.raises(ValueError):
+        compare_step(topo, 10, 2, CycleNode(3), Coin.LEFT)  # out of range for n=3
+
+
 def test_junction_down_column():
     topo = LollipopTopology(25)
     op = build_dense_unitary(topo, 10)
-    col = op.entries[:, topo.flat_index(10, CycleNode(0), Coin.DOWN)]
-    nz = {i: v for i, v in enumerate(col) if v != 0.0}
+    col = op.entries[:, op.basis.index((CycleNode(0), Coin.DOWN))]
+    nz = {state: v for state, v in zip(op.basis, col) if v != 0.0}
     assert len(nz) == 3
-    assert nz[topo.flat_index(10, CycleNode(24), Coin.LEFT)] == pytest.approx(2 / 3)
-    assert nz[topo.flat_index(10, CycleNode(1), Coin.RIGHT)] == pytest.approx(2 / 3)
-    assert nz[topo.flat_index(10, HalfLineNode(1), Coin.UP)] == pytest.approx(-1 / 3)
+    assert nz[(CycleNode(24), Coin.LEFT)] == pytest.approx(2 / 3)
+    assert nz[(CycleNode(1), Coin.RIGHT)] == pytest.approx(2 / 3)
+    assert nz[(HalfLineNode(1), Coin.UP)] == pytest.approx(-1 / 3)
 
 
 def test_junction_triple_is_orthonormal():
@@ -68,8 +110,7 @@ def test_interior_excludes_only_truncation_edge():
     topo = LollipopTopology(5)
     op = build_dense_unitary(topo, 10)
     keep = set(interior_state_indices(op))
-    for i in range(op.dimension):
-        site, _ = topo.inverse_index(10, i)
+    for i, (site, _) in enumerate(op.basis):
         edge = isinstance(site, HalfLineNode) and site.index >= 9
         assert (i in keep) == (not edge)
 
@@ -80,11 +121,11 @@ def test_defect_sensitive_to_perturbation():
     keep = interior_state_indices(op)
     entries = op.entries.copy()
     # bump a nonzero interior entry so the column norm moves by ~2*value*eps
-    j = topo.flat_index(4, CycleNode(2), Coin.LEFT)
+    j = op.basis.index((CycleNode(2), Coin.LEFT))
     i = np.nonzero(entries[:, j])[0][0]
     assert i in keep and j in keep
     entries[i, j] += 1e-3
-    perturbed = DenseOperator(op.dimension, entries, "unitary", 4, topo)
+    perturbed = dataclasses.replace(op, entries=entries)
     assert unitarity_defect(perturbed) >= 1e-3
 
 
@@ -108,16 +149,15 @@ def test_stochastic_shape_and_columns():
     assert op.dimension == 11
     assert op.kind == "stochastic"
     assert np.all(op.entries >= 0.0)
-    jcol = op.entries[:, site_index(topo, 6, CycleNode(0))]
-    assert jcol[site_index(topo, 6, CycleNode(4))] == pytest.approx(1 / 3)
-    assert jcol[site_index(topo, 6, CycleNode(1))] == pytest.approx(1 / 3)
-    assert jcol[site_index(topo, 6, HalfLineNode(1))] == pytest.approx(1 / 3)
-    sums = op.entries.sum(axis=0)
-    for j in range(op.dimension):
-        if j == site_index(topo, 6, HalfLineNode(6)):
-            assert sums[j] == pytest.approx(0.5)  # truncation edge loses up-flow
+    jcol = dict(zip(op.basis, op.entries[:, op.basis.index(CycleNode(0))]))
+    assert jcol[CycleNode(4)] == pytest.approx(1 / 3)
+    assert jcol[CycleNode(1)] == pytest.approx(1 / 3)
+    assert jcol[HalfLineNode(1)] == pytest.approx(1 / 3)
+    for site, total in zip(op.basis, op.entries.sum(axis=0)):
+        if site == HalfLineNode(6):
+            assert total == pytest.approx(0.5)  # truncation edge loses up-flow
         else:
-            assert sums[j] == pytest.approx(1.0, abs=1e-15)
+            assert total == pytest.approx(1.0, abs=1e-15)
 
 
 def test_compare_step_examples():
@@ -186,15 +226,13 @@ def test_classical_engine_matches_dense_stochastic(region, data):
     topo, site, x_max, steps = data.draw(launches(region))
     op = build_dense_stochastic(topo, x_max)
     vec = np.zeros(op.dimension)
-    vec[site_index(topo, x_max, site)] = 1.0
+    vec[op.basis.index(site)] = 1.0
     dist = make_point_distribution(topo, site)
     for _ in range(steps):
         vec = op.entries @ vec
         dist.step()
-    sites = [CycleNode(k) for k in range(topo.cycle_size)]
-    sites += [HalfLineNode(x) for x in range(1, x_max + 1)]
-    for s in sites:
-        assert abs(dist.probability(s) - vec[site_index(topo, x_max, s)]) <= 1e-15
+    for s, p in zip(op.basis, vec):
+        assert abs(dist.probability(s) - p) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -229,16 +267,15 @@ def seam_sites(topo):
 def test_quantum_engine_matches_dense_unitary_at_every_step_near_the_seam(n):
     topo = LollipopTopology(n)
     op = build_dense_unitary(topo, SEAM_X_MAX)
-    basis = [topo.inverse_index(SEAM_X_MAX, i) for i in range(op.dimension)]
     for site in seam_sites(topo):
         for coin in topo.coins_at(site):
             vec = np.zeros(op.dimension)
-            vec[topo.flat_index(SEAM_X_MAX, site, coin)] = 1.0
+            vec[op.basis.index((site, coin))] = 1.0
             state = make_basis_state(topo, site, coin)
             for _ in range(SEAM_STEPS):
                 vec = op.entries @ vec
                 state.step()
-                got = np.array([state.amplitude(s, c) for s, c in basis])
+                got = np.array([state.amplitude(s, c) for s, c in op.basis])
                 assert np.abs(got - vec).max() <= cli.MISMATCH_LIMIT
 
 
@@ -246,15 +283,12 @@ def test_quantum_engine_matches_dense_unitary_at_every_step_near_the_seam(n):
 def test_classical_engine_matches_dense_stochastic_at_every_step_near_the_seam(n):
     topo = LollipopTopology(n)
     op = build_dense_stochastic(topo, SEAM_X_MAX)
-    sites = [CycleNode(k) for k in range(n)]
-    sites += [HalfLineNode(x) for x in range(1, SEAM_X_MAX + 1)]
-    rows = [site_index(topo, SEAM_X_MAX, s) for s in sites]
     for site in seam_sites(topo):
         vec = np.zeros(op.dimension)
-        vec[site_index(topo, SEAM_X_MAX, site)] = 1.0
+        vec[op.basis.index(site)] = 1.0
         dist = make_point_distribution(topo, site)
         for _ in range(SEAM_STEPS):
             vec = op.entries @ vec
             dist.step()
-            got = np.array([dist.probability(s) for s in sites])
-            assert np.abs(got - vec[rows]).max() <= 1e-15
+            got = np.array([dist.probability(s) for s in op.basis])
+            assert np.abs(got - vec).max() <= 1e-15

@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "make_basis_state",
     "make_point_distribution",
     "position_distribution",
-    "site_index",
     "summarize",
     "unitarity_defect",
     "__version__",
