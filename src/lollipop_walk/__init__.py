@@ -26,7 +26,6 @@ from .oracle import (
     unitarity_defect,
 )
 from .quantum import (
-    SQRT_HALF,
     WalkerState,
     evolve_quantum,
     make_basis_state,
@@ -50,7 +49,6 @@ __all__ = [
     "LollipopTopology",
     "PositionDistribution",
     "Site",
-    "SQRT_HALF",
     "SummaryRecord",
     "WalkerState",
     "build_dense_stochastic",

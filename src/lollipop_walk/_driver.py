@@ -51,6 +51,12 @@ _MIN_EXTENT = 2
 # which costs about as much as a few steps
 _TRIM_PERIOD = 64
 _TINY = np.finfo(np.float64).tiny
+# Largest cycle, and largest half-line a launch may need (launch offset +
+# steps + 2 sites), that callers should hand the engine.  Front and back
+# buffer take 32 B per column for the quantum walk's two rows, 16 B for the
+# classical walk's one, so after doubling the half-line part stays near
+# 640 MB and a cycle this size 320 MB.
+MAX_HALFLINE_SITES = 10**7
 
 
 class TwoBufferWalk:

@@ -6,13 +6,15 @@ Verbs:
                 built-in reference values
   oracle-check  dense-operator unitarity and rule-vs-matrix agreement
 
-`run` goes from the parsed arguments to the artifact files in one function:
-it checks them, builds the launch state, then steps and writes snapshot by
-snapshot.  `compute_tables_report` returns the benchmarks'
-`{model: {time: SummaryRecord}}` and `format_tables_report` diffs those
-against the reference constants as it renders them.  Sites and cycle sizes
-range-check themselves in the topology types; `run` and `oracle-check`
-report their ValueError as exit code 1.
+This module parses, dispatches and formats; each limit lives with its data.
+The topology types range-check sites and cycle sizes, the dense oracle its
+truncation and size, and `_driver` states the engine's size limit, which
+`run` checks before it makes the output directory; `run` and `oracle-check`
+report such a ValueError as exit code 1.  `run` goes from the parsed
+arguments to the artifact files in one function.  It and `tables` launch
+their walks through one `_launch`, and `REFERENCE_RUNS` feeds both
+`compute_tables_report`, which returns `{model: {time: SummaryRecord}}`, and
+`format_tables_report`, which diffs those against the reference values.
 
 Exit codes: 0 success, 1 validation error, 2 i/o error, 3 tolerance failure.
 """
@@ -43,22 +45,13 @@ from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
 
 MODELS = ("quantum", "classical")
 FORMATS = ("csv", "json", "svg")
-# Largest half-line a run may need (launch offset + steps + 2 sites), and
-# largest cycle.  Each walk stores cycle and half-line in one row of columns
-# per component, in a front and a back buffer: 32 B per column for the
-# quantum walk's two rows, 16 B for the classical walk's one, so after
-# doubling the half-line part stays near 640 MB and a cycle this size 320 MB.
-MAX_HALFLINE_SITES = 10**7
-# Largest dense operator `oracle-check` builds (2n + 1 + 2 x_max basis
-# states): each of its few dense matrices then takes 32 MiB.
-MAX_ORACLE_DIMENSION = 2048
+# oracle-check's limits on the unitarity defect and the rule-vs-dense diff
+DEFECT_LIMIT = 1e-10
+MISMATCH_LIMIT = 1e-12
 
 
 class ConfigError(ValueError):
     """Bad configuration or usage; maps to exit code 1."""
-
-
-_COIN_LETTERS = {"L": Coin.LEFT, "R": Coin.RIGHT, "D": Coin.DOWN, "U": Coin.UP}
 
 
 def parse_start(text: str) -> tuple[Site, Coin | None]:
@@ -74,8 +67,8 @@ def parse_start(text: str) -> tuple[Site, Coin | None]:
     coin = None
     if len(parts) == 3:
         try:
-            coin = _COIN_LETTERS[parts[2].upper()]
-        except KeyError:
+            coin = Coin(parts[2].upper())
+        except ValueError:
             raise ConfigError(f"coin must be one of L, R, D, U, got {parts[2]!r}")
     node = {"cycle": CycleNode, "half": HalfLineNode}.get(region)
     if node is None:
@@ -86,13 +79,20 @@ def parse_start(text: str) -> tuple[Site, Coin | None]:
         raise ConfigError(str(exc)) from exc
 
 
+def _launch(model: str, topology: LollipopTopology, site: Site, coin: Coin | None):
+    """Time-0 state of a `model` walk at (site, coin), and its evolve function."""
+    # named at call time, so patches of this module's make_*/evolve_* apply
+    if model == "quantum":
+        return make_basis_state(topology, site, coin), evolve_quantum
+    return make_point_distribution(topology, site), evolve_classical
+
+
 # --- tables ----------------------------------------------------------------
 
 BENCHMARK_TIMES = (20000, 50000, 100000)
 BENCHMARK_STEPS = 100000
 
-# Reference values for the standard 25-node benchmark; the quantum walk is
-# launched at cycle:12:R, the classical walk at cycle:12.
+# Reference values for the standard 25-node benchmark.
 QUANTUM_CYCLE_TOTALS = (0.50587, 0.50012, 0.50000)
 QUANTUM_SPIKE_SITES = (0, 24, 14)
 QUANTUM_SPIKE_HEIGHTS = (0.09573, 0.05955, 0.06355)
@@ -103,6 +103,14 @@ CLASSICAL_SPIKE_HEIGHTS = (0.00825, 0.00530, 0.00376)
 TOTAL_TOLERANCE = {"quantum": 5e-3, "classical": 5e-4}
 SPIKE_TOLERANCE = {"quantum": 2e-3, "classical": 1e-4}
 
+# model, start, then the reference cycle totals, spike heights and sites
+REFERENCE_RUNS = (
+    ("quantum", "cycle:12:R", QUANTUM_CYCLE_TOTALS, QUANTUM_SPIKE_HEIGHTS,
+     QUANTUM_SPIKE_SITES),
+    ("classical", "cycle:12", CLASSICAL_CYCLE_TOTALS, CLASSICAL_SPIKE_HEIGHTS,
+     CLASSICAL_SPIKE_SITES),
+)
+
 
 def compute_tables_report() -> dict[str, dict[int, SummaryRecord]]:
     """Run both 25-node benchmarks (about 8 seconds) and summarize them.
@@ -112,14 +120,9 @@ def compute_tables_report() -> dict[str, dict[int, SummaryRecord]]:
     line on stderr announces each benchmark as it starts.
     """
     topology = LollipopTopology(25)
-    launches = (
-        ("quantum", make_basis_state(topology, CycleNode(12), Coin.RIGHT),
-         evolve_quantum),
-        ("classical", make_point_distribution(topology, CycleNode(12)),
-         evolve_classical),
-    )
     records = {}
-    for model, state, evolve in launches:
+    for model, start, *_ in REFERENCE_RUNS:
+        state, evolve = _launch(model, topology, *parse_start(start))
         print(f"running {model} benchmark ({BENCHMARK_STEPS} steps)", file=sys.stderr)
         snaps = evolve(state, BENCHMARK_STEPS, BENCHMARK_TIMES)
         records[model] = {t: summarize(d) for t, d in snaps}
@@ -133,15 +136,9 @@ def format_tables_report(
     """Diff `{model: {time: SummaryRecord}}` against the reference values
     and render the table; ok=False if any deviation exceeds its tolerance
     or any spike site mismatches."""
-    references = (
-        ("quantum", "cycle:12:R", QUANTUM_CYCLE_TOTALS, QUANTUM_SPIKE_HEIGHTS,
-         QUANTUM_SPIKE_SITES),
-        ("classical", "cycle:12", CLASSICAL_CYCLE_TOTALS, CLASSICAL_SPIKE_HEIGHTS,
-         CLASSICAL_SPIKE_SITES),
-    )
     lines = []
     ok = True
-    for model, start, totals, heights, sites in references:
+    for model, start, totals, heights, sites in REFERENCE_RUNS:
         lines.append(
             f"{model} walk, 25-node cycle, launched at {start}, "
             f"{BENCHMARK_STEPS} steps"
@@ -175,45 +172,6 @@ def format_tables_report(
             f"  reference {list(sites)}  {'ok' if good else 'FAIL'}"
         )
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    return "\n".join(lines), ok
-
-
-# --- oracle-check ----------------------------------------------------------
-
-DEFECT_LIMIT = 1e-10
-MISMATCH_LIMIT = 1e-12
-
-
-def oracle_check(n: int, x_max: int, steps: int) -> tuple[str, bool]:
-    """Unitarity defect plus rule-vs-dense agreement on one instance."""
-    if x_max < 2:
-        raise ConfigError(f"x-max must be >= 2, got {x_max}")
-    if steps < 0 or steps >= x_max - 1:
-        raise ConfigError(
-            f"steps must satisfy 0 <= steps < x_max - 1 so the support stays "
-            f"inside the truncation, got steps={steps}, x_max={x_max}"
-        )
-    try:
-        topology = LollipopTopology(n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    dimension = 2 * n + 1 + 2 * x_max
-    if dimension > MAX_ORACLE_DIMENSION:
-        raise ConfigError(
-            f"dense operator dimension 2n + 1 + 2 x_max = {dimension} exceeds "
-            f"the limit of {MAX_ORACLE_DIMENSION}"
-        )
-    defect = unitarity_defect(build_dense_unitary(topology, x_max))
-    mismatch = compare_step(topology, x_max, steps)
-    ok = defect <= DEFECT_LIMIT and mismatch <= MISMATCH_LIMIT
-    lines = [
-        f"dense operator audit, n={n}, x_max={x_max}, steps={steps}",
-        f"  unitarity defect (interior block): {defect:.3e}  "
-        f"(limit {DEFECT_LIMIT:.0e})",
-        f"  rule-vs-dense max amplitude diff:  {mismatch:.3e}  "
-        f"(limit {MISMATCH_LIMIT:.0e})",
-        f"overall: {'PASS' if ok else 'FAIL'}",
-    ]
     return "\n".join(lines), ok
 
 
@@ -304,18 +262,18 @@ def _cmd_run(args) -> int:
     snapshots = args.snapshots if args.snapshots is not None else [steps]
     formats = [f for f in args.format.split(",") if f != ""]
     try:
-        if args.cycle_size > MAX_HALFLINE_SITES:
+        if args.cycle_size > _driver.MAX_HALFLINE_SITES:
             raise ValueError(
                 f"cycle size {args.cycle_size} exceeds the limit of "
-                f"{MAX_HALFLINE_SITES} sites"
+                f"{_driver.MAX_HALFLINE_SITES} sites"
             )
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
         offset = site.index if isinstance(site, HalfLineNode) else 0
-        if offset + steps + 2 > MAX_HALFLINE_SITES:
+        if offset + steps + 2 > _driver.MAX_HALFLINE_SITES:
             raise ValueError(
                 f"launch offset {offset} + {steps} steps + 2 exceeds the "
-                f"limit of {MAX_HALFLINE_SITES} half-line sites"
+                f"limit of {_driver.MAX_HALFLINE_SITES} half-line sites"
             )
         if not snapshots:
             raise ValueError("snapshot times must name at least one time")
@@ -327,12 +285,7 @@ def _cmd_run(args) -> int:
         if args.model == "quantum" and coin is None:
             raise ValueError("quantum runs need a start coin (e.g. cycle:12:R)")
         topology = LollipopTopology(args.cycle_size)
-        if args.model == "quantum":
-            state = make_basis_state(topology, site, coin)
-            evolve = evolve_quantum
-        else:
-            state = make_point_distribution(topology, site)
-            evolve = evolve_classical
+        state, evolve = _launch(args.model, topology, site, coin)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -373,14 +326,31 @@ def _cmd_tables(args) -> int:
         raise ConfigError(
             f"tolerance must be a finite number >= 0, got {args.tolerance}"
         )
-    text, ok = format_tables_report(compute_tables_report(), args.tolerance)
+    # -0.0 passes the check but would print as -0e+00 in every row
+    tolerance = None if args.tolerance is None else abs(args.tolerance)
+    text, ok = format_tables_report(compute_tables_report(), tolerance)
     print(text)
     return 0 if ok else 3
 
 
 def _cmd_oracle_check(args) -> int:
-    text, ok = oracle_check(args.cycle_size, args.x_max, args.steps)
-    print(text)
+    """Unitarity defect plus rule-vs-dense agreement on one instance."""
+    n, x_max, steps = args.cycle_size, args.x_max, args.steps
+    try:
+        topology = LollipopTopology(n)
+        defect = unitarity_defect(build_dense_unitary(topology, x_max))
+        mismatch = compare_step(topology, x_max, steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    ok = defect <= DEFECT_LIMIT and mismatch <= MISMATCH_LIMIT
+    print(
+        f"dense operator audit, n={n}, x_max={x_max}, steps={steps}\n"
+        f"  unitarity defect (interior block): {defect:.3e}  "
+        f"(limit {DEFECT_LIMIT:.0e})\n"
+        f"  rule-vs-dense max amplitude diff:  {mismatch:.3e}  "
+        f"(limit {MISMATCH_LIMIT:.0e})\n"
+        f"overall: {'PASS' if ok else 'FAIL'}"
+    )
     return 0 if ok else 3
 
 
@@ -398,12 +368,9 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return 0 if (exc.code or 0) == 0 else 1
+    verb = {"run": _cmd_run, "tables": _cmd_tables, "oracle-check": _cmd_oracle_check}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "tables":
-            return _cmd_tables(args)
-        return _cmd_oracle_check(args)
+        return verb[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,8 @@
 Builds the one-step evolution as an explicit matrix on the truncated graph
 (half-line cut at x_max), written as a direct per-state transcription of
 the walk rules with no vectorization tricks.  Small and slow on purpose:
-it is the ground truth the fast engines are compared against.
+it is the ground truth the fast engines are compared against.  Each
+builder refuses a truncation too large to hold densely before it allocates.
 """
 
 from __future__ import annotations
@@ -12,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import SQRT_HALF, evolve_quantum, make_basis_state
+from .quantum import evolve_quantum, make_basis_state
 from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
+
+# Largest truncation the builders take, as the unitary's 2n + 1 + 2 x_max
+# basis states: each of an audit's few dense matrices then takes 32 MiB.
+MAX_ORACLE_DIMENSION = 2048
+_SQRT_HALF = float(np.sqrt(0.5))
 
 
 @dataclass(frozen=True)
@@ -35,9 +41,17 @@ class DenseOperator:
 
 
 def _sites(topology: LollipopTopology, x_max: int) -> list[Site]:
-    """The truncated graph: cycle nodes 0..n-1, then half-line sites 1..x_max."""
+    """The truncated graph: cycle nodes 0..n-1, then half-line sites 1..x_max.
+    Refuses, before listing a site, a truncation whose unitary dimension
+    exceeds MAX_ORACLE_DIMENSION (the stochastic one's is smaller)."""
     if x_max < 2:
         raise ValueError(f"x_max must be >= 2 for a testable truncation, got {x_max}")
+    dimension = 2 * topology.cycle_size + 1 + 2 * x_max
+    if dimension > MAX_ORACLE_DIMENSION:
+        raise ValueError(
+            f"dense operator dimension 2n + 1 + 2 x_max = {dimension} exceeds "
+            f"the limit of {MAX_ORACLE_DIMENSION}"
+        )
     return [CycleNode(k) for k in range(topology.cycle_size)] + [
         HalfLineNode(x) for x in range(1, x_max + 1)
     ]
@@ -60,7 +74,7 @@ def _unitary_images(topology: LollipopTopology, state: tuple[Site, Coin]):
     """The walk rules, one basis state at a time: [((site, coin), weight)]."""
     site, coin = state
     n = topology.cycle_size
-    s = SQRT_HALF
+    s = _SQRT_HALF
     if isinstance(site, CycleNode) and site.index == 0:
         targets = (
             (CycleNode(n - 1), Coin.LEFT),
@@ -148,7 +162,8 @@ def compare_step(
 
     The launch defaults to the junction's Right coin.  The support must stay
     clear of the truncation edge, which the light cone guarantees as long as
-    launch_offset + steps < x_max - 1.
+    launch_offset + steps < x_max - 1.  The operator is built, and so its
+    size checked, before the engine takes a step.
     """
     offset = site.index if isinstance(site, HalfLineNode) else 0
     if steps < 0:
@@ -158,9 +173,9 @@ def compare_step(
             f"support could reach the truncation edge: need launch offset + steps"
             f" < x_max - 1, got {offset} + {steps} >= {x_max - 1}"
         )
+    op = build_dense_unitary(topology, x_max)
     state = make_basis_state(topology, site, coin)
     evolve_quantum(state, steps)
-    op = build_dense_unitary(topology, x_max)
     vec = np.zeros(op.dimension)
     vec[op.basis.index((site, coin))] = 1.0
     for _ in range(steps):

@@ -30,8 +30,6 @@ from .topology import (
     Site,
 )
 
-SQRT_HALF = math.sqrt(0.5)
-
 
 class WalkerState(_driver.TwoBufferWalk):
     """Real amplitudes of the quantum walker over (site, coin) basis states.

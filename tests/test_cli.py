@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from lollipop_walk import Coin, CycleNode, HalfLineNode, SummaryRecord, cli, observables
+from lollipop_walk import (
+    Coin, CycleNode, HalfLineNode, SummaryRecord, cli, observables, oracle,
+)
 from lollipop_walk._driver import TwoBufferWalk
 from lollipop_walk.cli import (
     ConfigError,
@@ -326,6 +328,17 @@ def test_run_artifacts_match_golden_digests(
 
 # --- exit codes -------------------------------------------------------------
 
+# the oracle's own wording for the oracle-check cases below
+ORACLE_CHECK_ERRORS = {
+    "oracle-check --cycle-size 5 --x-max 10 --steps 20":
+        "error: support could reach the truncation edge: need launch offset + "
+        "steps < x_max - 1, got 0 + 20 >= 9\n",
+    "oracle-check --x-max 1":
+        "error: x_max must be >= 2 for a testable truncation, got 1\n",
+    "oracle-check --steps -1": "error: steps must be >= 0, got -1\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -351,12 +364,15 @@ def test_run_artifacts_match_golden_digests(
         ["oracle-check", "--cycle-size", "5", "--x-max", "10", "--steps", "20"],
         ["oracle-check", "--x-max", "1"],
         ["oracle-check", "--cycle-size", "2"],
+        ["oracle-check", "--steps", "-1"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys, tmp_path):
     argv = [str(tmp_path / a) if a == "o" else a for a in argv]
     assert main(argv) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert ORACLE_CHECK_ERRORS.get(" ".join(argv), "error:") in err
 
 
 def test_bad_snapshot_list_error_states_the_expected_form(capsys, tmp_path):
@@ -407,8 +423,10 @@ def test_oversized_cycle_run_exits_1_before_allocating(monkeypatch, capsys, tmp_
 def test_oversized_oracle_check_exits_1_before_allocating(
     monkeypatch, capsys, cycle_size, x_max
 ):
-    monkeypatch.setattr(cli, "build_dense_unitary", refuse_to_allocate)
-    monkeypatch.setattr(cli, "compare_step", refuse_to_allocate)
+    # the size guard sits inside the oracle: the matrix fill and the engine
+    # allocate, and listing a 10**12-node basis would not finish
+    for name in ("_dense", "make_basis_state", "CycleNode"):
+        monkeypatch.setattr(oracle, name, refuse_to_allocate)
     argv = ["oracle-check", "--cycle-size", cycle_size, "--x-max", x_max,
             "--steps", "8"]
     assert main(argv) == 1
@@ -534,6 +552,15 @@ def test_tables_rejects_bad_tolerance_before_running(monkeypatch, capsys, tolera
     monkeypatch.setattr(cli, "compute_tables_report", no_walk)
     assert main(["tables", "--tolerance", tolerance]) == 1
     assert capsys.readouterr().err.startswith("error: tolerance")
+
+
+def test_tables_negative_zero_tolerance_prints_as_zero(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "compute_tables_report", fake_report)
+    assert main(["tables", "--tolerance", "-0.0"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith(("  cycle_total", "  spike_height"))]
+    assert len(rows) == 12
+    assert all(row[-2] == "0e+00" for row in rows)
 
 
 def short_benchmarks(monkeypatch):

@@ -15,6 +15,7 @@ from lollipop_walk import (
     compare_step,
     make_basis_state,
     make_point_distribution,
+    oracle,
     unitarity_defect,
 )
 from lollipop_walk.oracle import (
@@ -141,6 +142,24 @@ def test_rejects_tiny_truncation():
         build_dense_unitary(topo, 1)
     with pytest.raises(ValueError):
         build_dense_stochastic(topo, 1)
+
+
+def refuse_to_allocate(*args):
+    raise AssertionError("allocating call reached past the size limit")
+
+
+@pytest.mark.parametrize("n,x_max", [(5, 100000), (10**12, 10)])
+def test_oversized_truncation_is_refused_before_allocating(monkeypatch, n, x_max):
+    # the matrix fill and the engine allocate; listing a 10**12-node basis
+    # would not finish, so making a cycle node refuses too
+    for name in ("_dense", "make_basis_state", "CycleNode"):
+        monkeypatch.setattr(oracle, name, refuse_to_allocate)
+    topo = LollipopTopology(n)
+    for build in (build_dense_unitary, build_dense_stochastic):
+        with pytest.raises(ValueError, match="dimension .* exceeds the limit"):
+            build(topo, x_max)
+    with pytest.raises(ValueError, match="dimension .* exceeds the limit"):
+        compare_step(topo, x_max, 8)
 
 
 def test_stochastic_shape_and_columns():

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "LollipopTopology",
     "PositionDistribution",
     "Site",
-    "SQRT_HALF",
     "SummaryRecord",
     "WalkerState",
     "build_dense_stochastic",
