@@ -345,7 +345,7 @@ def _cmd_oracle_check(args) -> int:
     ok = defect <= DEFECT_LIMIT and mismatch <= MISMATCH_LIMIT
     print(
         f"dense operator audit, n={n}, x_max={x_max}, steps={steps}\n"
-        f"  unitarity defect (interior block): {defect:.3e}  "
+        f"  unitarity defect:                  {defect:.3e}  "
         f"(limit {DEFECT_LIMIT:.0e})\n"
         f"  rule-vs-dense max amplitude diff:  {mismatch:.3e}  "
         f"(limit {MISMATCH_LIMIT:.0e})\n"

@@ -2,8 +2,10 @@
 
 Builds the one-step evolution as an explicit matrix on the truncated graph
 (half-line cut at x_max), written as a direct per-state transcription of
-the walk rules with no vectorization tricks.  Small and slow on purpose:
-it is the ground truth the fast engines are compared against.  Each
+the walk rules with no vectorization tricks.  The edge site x_max reflects:
+the one image past it folds back onto it, so the truncated unitary is
+exactly orthogonal and every stochastic column sums to 1.  Small and slow on
+purpose: it is the ground truth the fast engines are compared against.  Each
 builder refuses a truncation too large to hold densely before it allocates.
 """
 
@@ -28,15 +30,14 @@ class DenseOperator:
 
     kind "unitary" acts on (site, coin) basis states; kind "stochastic"
     acts on sites.  `basis[i]` is the state of row and column i; columns
-    are images of basis states.  States at the truncation edge x_max lose
-    their outgoing (x_max + 1) component, so callers must keep evolutions
-    inside the truncation.
+    are images of basis states.  The edge site x_max reflects what the
+    infinite walk would send outward, so callers comparing against that walk
+    must keep evolutions clear of the edge.
     """
 
     dimension: int
     entries: np.ndarray
     kind: str  # "unitary" | "stochastic"
-    x_max: int
     basis: list
 
 
@@ -57,17 +58,18 @@ def _sites(topology: LollipopTopology, x_max: int) -> list[Site]:
     ]
 
 
-def _dense(kind, topology, x_max, basis, images, past_edge) -> DenseOperator:
-    """Column j holds `images(topology, basis[j])`, [(state, weight)].  Only
+def _dense(kind, topology, basis, images, past_edge, edge) -> DenseOperator:
+    """Column j holds `images(topology, basis[j])`, [(state, weight)].
     `past_edge`, the state on half-line site x_max + 1 that the edge site
-    feeds, is dropped; any other image outside the basis raises KeyError."""
+    feeds, folds back onto `edge`; any other image outside the basis raises
+    KeyError."""
     row = {state: i for i, state in enumerate(basis)}
+    row[past_edge] = row[edge]
     matrix = np.zeros((len(basis), len(basis)))
     for j, state in enumerate(basis):
         for target, w in images(topology, state):
-            if target != past_edge:
-                matrix[row[target], j] += w
-    return DenseOperator(len(basis), matrix, kind, x_max, basis)
+            matrix[row[target], j] += w
+    return DenseOperator(len(basis), matrix, kind, basis)
 
 
 def _unitary_images(topology: LollipopTopology, state: tuple[Site, Coin]):
@@ -121,32 +123,22 @@ def build_dense_unitary(topology: LollipopTopology, x_max: int) -> DenseOperator
     per half-line site; dimension 2n + 1 + 2 x_max."""
     basis = [(s, c) for s in _sites(topology, x_max) for c in topology.coins_at(s)]
     past_edge = (HalfLineNode(x_max + 1), Coin.UP)
-    return _dense("unitary", topology, x_max, basis, _unitary_images, past_edge)
+    edge = (HalfLineNode(x_max), Coin.DOWN)
+    return _dense("unitary", topology, basis, _unitary_images, past_edge, edge)
 
 
 def build_dense_stochastic(topology: LollipopTopology, x_max: int) -> DenseOperator:
     """One classical step on the truncated graph; dimension = n + x_max sites."""
     basis = _sites(topology, x_max)
-    past_edge = HalfLineNode(x_max + 1)
-    return _dense("stochastic", topology, x_max, basis, _stochastic_images, past_edge)
-
-
-def interior_state_indices(op: DenseOperator) -> list[int]:
-    """Basis states of a unitary operator unaffected by the truncation edge:
-    all cycle states plus half-line sites < x_max - 1."""
-    return [
-        i for i, (site, _) in enumerate(op.basis)
-        if isinstance(site, CycleNode) or site.index < op.x_max - 1
-    ]
+    past_edge, edge = HalfLineNode(x_max + 1), HalfLineNode(x_max)
+    return _dense("stochastic", topology, basis, _stochastic_images, past_edge, edge)
 
 
 def unitarity_defect(op: DenseOperator) -> float:
-    """Max-norm of (U^T U - I) over the interior sub-block."""
+    """Max-norm of (U^T U - I) over every row and column."""
     if op.kind != "unitary":
         raise ValueError(f"unitarity_defect needs a unitary operator, got {op.kind}")
-    gram = op.entries.T @ op.entries - np.eye(op.dimension)
-    keep = interior_state_indices(op)
-    return float(np.abs(gram[np.ix_(keep, keep)]).max())
+    return float(np.abs(op.entries.T @ op.entries - np.eye(op.dimension)).max())
 
 
 def compare_step(

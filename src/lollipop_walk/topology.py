@@ -84,4 +84,5 @@ class LollipopTopology:
     def check_state(self, site: Site, coin: Coin) -> None:
         """Raise ValueError unless (site, coin) is a valid basis state."""
         if coin not in self.coins_at(site):
-            raise ValueError(f"coin {coin.value} not admitted at {site}")
+            label = coin.value if isinstance(coin, Coin) else repr(coin)
+            raise ValueError(f"coin {label} not admitted at {site}")

@@ -18,12 +18,7 @@ from lollipop_walk import (
     oracle,
     unitarity_defect,
 )
-from lollipop_walk.oracle import (
-    _dense,
-    _stochastic_images,
-    _unitary_images,
-    interior_state_indices,
-)
+from lollipop_walk.oracle import _dense, _stochastic_images, _unitary_images
 
 
 def test_dimension_is_state_count():
@@ -54,18 +49,22 @@ def test_basis_order():
 
 
 def test_images_outside_the_basis_raise():
-    # only the state past the truncation edge may be dropped: a basis cut one
-    # half-line site short leaves an image of half-line site 1 unaddressed
+    # only the folded state may lie outside the basis: a basis cut one
+    # half-line site short, still folding site 3 onto its last site, leaves
+    # the image on half-line site 2 unaddressed
     topo = LollipopTopology(3)
     short = build_dense_stochastic(topo, 2).basis[:-1]
     with pytest.raises(KeyError):
-        _dense("stochastic", topo, 2, short, _stochastic_images, HalfLineNode(3))
+        _dense("stochastic", topo, short, _stochastic_images,
+               HalfLineNode(3), HalfLineNode(1))
     short = build_dense_unitary(topo, 2).basis[:-2]
-    past_edge = (HalfLineNode(3), Coin.UP)
     with pytest.raises(KeyError):
-        _dense("unitary", topo, 2, short, _unitary_images, past_edge)
+        _dense("unitary", topo, short, _unitary_images,
+               (HalfLineNode(3), Coin.UP), (HalfLineNode(1), Coin.DOWN))
     with pytest.raises(ValueError):
         compare_step(topo, 10, 2, CycleNode(1), Coin.DOWN)  # coin not admitted
+    with pytest.raises(ValueError):
+        compare_step(topo, 10, 2, CycleNode(1), None)  # not a coin
     with pytest.raises(ValueError):
         compare_step(topo, 10, 2, CycleNode(3), Coin.LEFT)  # out of range for n=3
 
@@ -96,38 +95,28 @@ def test_unitarity_defect_small(n, x_max):
     assert unitarity_defect(build_dense_unitary(topo, x_max)) < 1e-12
 
 
-def test_interior_gram_subblock_directly():
-    topo = LollipopTopology(5)
-    op = build_dense_unitary(topo, 10)
-    gram = op.entries.T @ op.entries - np.eye(op.dimension)
-    keep = interior_state_indices(op)
-    assert np.abs(gram[np.ix_(keep, keep)]).max() < 1e-12
-    # interior columns have unit norm
-    norms = np.linalg.norm(op.entries[:, keep], axis=0)
-    assert np.abs(norms - 1.0).max() < 1e-12
-
-
-def test_interior_excludes_only_truncation_edge():
-    topo = LollipopTopology(5)
-    op = build_dense_unitary(topo, 10)
-    keep = set(interior_state_indices(op))
-    for i, (site, _) in enumerate(op.basis):
-        edge = isinstance(site, HalfLineNode) and site.index >= 9
-        assert (i in keep) == (not edge)
+@pytest.mark.parametrize("x_max", [2, 3, 10])
+def test_whole_gram_is_identity(x_max):
+    # the edge site reflects, so every row and column, the edge's included,
+    # is orthonormal
+    for n in range(3, 42):
+        op = build_dense_unitary(LollipopTopology(n), x_max)
+        gram = op.entries.T @ op.entries
+        assert np.abs(gram - np.eye(op.dimension)).max() <= 1e-15, n
 
 
 def test_defect_sensitive_to_perturbation():
     topo = LollipopTopology(5)
     op = build_dense_unitary(topo, 4)
-    keep = interior_state_indices(op)
-    entries = op.entries.copy()
-    # bump a nonzero interior entry so the column norm moves by ~2*value*eps
-    j = op.basis.index((CycleNode(2), Coin.LEFT))
-    i = np.nonzero(entries[:, j])[0][0]
-    assert i in keep and j in keep
-    entries[i, j] += 1e-3
-    perturbed = dataclasses.replace(op, entries=entries)
-    assert unitarity_defect(perturbed) >= 1e-3
+    # an interior column, then the truncation edge's own Down column
+    for state in ((CycleNode(2), Coin.LEFT), (HalfLineNode(4), Coin.DOWN)):
+        entries = op.entries.copy()
+        # bump a nonzero entry so the column norm moves by ~2*value*eps
+        j = op.basis.index(state)
+        i = np.nonzero(entries[:, j])[0][0]
+        entries[i, j] += 1e-3
+        perturbed = dataclasses.replace(op, entries=entries)
+        assert unitarity_defect(perturbed) >= 1e-3
 
 
 def test_defect_rejects_wrong_kind():
@@ -172,11 +161,11 @@ def test_stochastic_shape_and_columns():
     assert jcol[CycleNode(4)] == pytest.approx(1 / 3)
     assert jcol[CycleNode(1)] == pytest.approx(1 / 3)
     assert jcol[HalfLineNode(1)] == pytest.approx(1 / 3)
-    for site, total in zip(op.basis, op.entries.sum(axis=0)):
-        if site == HalfLineNode(6):
-            assert total == pytest.approx(0.5)  # truncation edge loses up-flow
-        else:
-            assert total == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(op.entries.sum(axis=0) - 1.0).max() <= 1e-15
+    # the truncation edge folds its outward half back onto itself
+    ecol = dict(zip(op.basis, op.entries[:, op.basis.index(HalfLineNode(6))]))
+    assert ecol == {**dict.fromkeys(op.basis, 0.0),
+                    HalfLineNode(5): 0.5, HalfLineNode(6): 0.5}
 
 
 def test_compare_step_examples():

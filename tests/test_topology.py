@@ -1,6 +1,8 @@
 import pytest
 
-from lollipop_walk import Coin, CycleNode, HalfLineNode, LollipopTopology
+from lollipop_walk import (
+    Coin, CycleNode, HalfLineNode, LollipopTopology, make_basis_state,
+)
 from lollipop_walk.topology import CYCLE_COINS, JUNCTION_COINS
 
 
@@ -27,6 +29,13 @@ def test_invalid_coin_on_cycle_and_halfline():
         topo.check_state(CycleNode(3), Coin.DOWN)
     with pytest.raises(ValueError):
         topo.check_state(HalfLineNode(2), Coin.LEFT)
+    # a coin that is no Coin member is refused with the same ValueError
+    for coin in (None, "R"):
+        for site in (CycleNode(1), HalfLineNode(2)):
+            with pytest.raises(ValueError, match=f"coin {coin!r} not admitted"):
+                topo.check_state(site, coin)
+        with pytest.raises(ValueError):
+            make_basis_state(LollipopTopology(5), CycleNode(1), coin)
 
 
 def test_site_validation():
