@@ -51,11 +51,11 @@ _MIN_EXTENT = 2
 # which costs about as much as a few steps
 _TRIM_PERIOD = 64
 _TINY = np.finfo(np.float64).tiny
-# Largest cycle, and largest half-line a launch may need (launch offset +
-# steps + 2 sites), that callers should hand the engine.  Front and back
-# buffer take 32 B per column for the quantum walk's two rows, 16 B for the
-# classical walk's one, so after doubling the half-line part stays near
-# 640 MB and a cycle this size 320 MB.
+# Largest cycle, and largest half-line a walk may need, that the engine
+# takes: `_launch` and `check_walk` refuse more before they allocate or
+# step.  Front and back buffer take 32 B per column for the quantum walk's
+# two rows, 16 B for the classical walk's one, so after doubling the
+# half-line part stays near 640 MB and a cycle this size 320 MB.
 MAX_HALFLINE_SITES = 10**7
 
 
@@ -103,6 +103,7 @@ class TwoBufferWalk:
         """State at time 0 holding 1.0 in the slot of one basis state."""
         component, column = cls._slot(topology, site, coin)
         frontier = max(column - topology.cycle_size, 0)
+        _check_reach(topology, frontier, 0)
         state = cls(topology, frontier + 1)
         state._frontier = frontier
         state._values[component, column] = 1.0
@@ -202,7 +203,24 @@ def step_count(steps, name: str) -> int:
     return int(steps)
 
 
-def validate_snapshot_times(snapshot_times, total_steps: int) -> list[int]:
+def _check_reach(topology, offset: int, steps: int) -> None:
+    """Refuse a cycle past MAX_HALFLINE_SITES, or a walk whose half-line
+    could pass it: from offset x, t steps need x + t + 2 sites."""
+    n, limit = topology.cycle_size, MAX_HALFLINE_SITES
+    if n > limit:
+        raise ValueError(f"cycle size {n} exceeds the limit of {limit} sites")
+    if offset + steps + 2 > limit:
+        raise ValueError(
+            f"half-line offset {offset} + {steps} steps + 2 exceeds the limit "
+            f"of {limit} half-line sites"
+        )
+
+
+def check_walk(state, total_steps, snapshot_times) -> tuple[int, list[int]]:
+    """Check a request to advance `state` by total_steps with snapshots at
+    the given times, before any step; return both as ints."""
+    total_steps = step_count(total_steps, "total_steps")
+    _check_reach(state.topology, state._frontier, total_steps)
     given = list(snapshot_times)
     if not all(map(_is_integer, given)):
         raise ValueError(f"snapshot times must be integers: {given}")
@@ -213,7 +231,7 @@ def validate_snapshot_times(snapshot_times, total_steps: int) -> list[int]:
         raise ValueError(
             f"snapshot times must lie in [0, {total_steps}]: {times}"
         )
-    return times
+    return total_steps, times
 
 
 def run_walk(state, total_steps, snapshot_times):
@@ -223,8 +241,7 @@ def run_walk(state, total_steps, snapshot_times):
     carries the absolute time.  Returns [(time, PositionDistribution), ...]
     in time order.
     """
-    total_steps = step_count(total_steps, "total_steps")
-    times = validate_snapshot_times(snapshot_times, total_steps)
+    total_steps, times = check_walk(state, total_steps, snapshot_times)
     start = state.time
     collected = []
     for t in times:

@@ -7,14 +7,15 @@ Verbs:
   oracle-check  dense-operator unitarity and rule-vs-matrix agreement
 
 This module parses, dispatches and formats; each limit lives with its data.
-The topology types range-check sites and cycle sizes, the dense oracle its
-truncation and size, and `_driver` states the engine's size limit, which
-`run` checks before it makes the output directory; `run` and `oracle-check`
-report such a ValueError as exit code 1.  `run` goes from the parsed
-arguments to the artifact files in one function.  It and `tables` launch
-their walks through one `_launch`, and `REFERENCE_RUNS` feeds both
-`compute_tables_report`, which returns `{model: {time: SummaryRecord}}`, and
-`format_tables_report`, which diffs those against the reference values.
+The topology types check sites and cycle sizes, the dense oracle its
+truncation and size, and `_driver` the engine's size limit, at launch and in
+the `check_walk` that `run` calls before it makes the output directory;
+`run` and `oracle-check` report such a ValueError as exit code 1.  `run`
+goes from the parsed arguments to the artifact files in one function.  It
+and `tables` launch their walks through one `_launch`, and `REFERENCE_RUNS`
+feeds both `compute_tables_report`, which returns
+`{model: {time: SummaryRecord}}`, and `format_tables_report`, which diffs
+those against the reference values.
 
 Exit codes: 0 success, 1 validation error, 2 i/o error, 3 tolerance failure.
 """
@@ -90,7 +91,6 @@ def _launch(model: str, topology: LollipopTopology, site: Site, coin: Coin | Non
 # --- tables ----------------------------------------------------------------
 
 BENCHMARK_TIMES = (20000, 50000, 100000)
-BENCHMARK_STEPS = 100000
 
 # Reference values for the standard 25-node benchmark.
 QUANTUM_CYCLE_TOTALS = (0.50587, 0.50012, 0.50000)
@@ -113,7 +113,7 @@ REFERENCE_RUNS = (
 
 
 def compute_tables_report() -> dict[str, dict[int, SummaryRecord]]:
-    """Run both 25-node benchmarks (about 8 seconds) and summarize them.
+    """Run both 25-node benchmarks (about 10 seconds) and summarize them.
 
     Returns `{model: {time: SummaryRecord}}` at each of BENCHMARK_TIMES, the
     records `format_tables_report` diffs against the reference values.  A
@@ -121,10 +121,11 @@ def compute_tables_report() -> dict[str, dict[int, SummaryRecord]]:
     """
     topology = LollipopTopology(25)
     records = {}
+    steps = BENCHMARK_TIMES[-1]
     for model, start, *_ in REFERENCE_RUNS:
         state, evolve = _launch(model, topology, *parse_start(start))
-        print(f"running {model} benchmark ({BENCHMARK_STEPS} steps)", file=sys.stderr)
-        snaps = evolve(state, BENCHMARK_STEPS, BENCHMARK_TIMES)
+        print(f"running {model} benchmark ({steps} steps)", file=sys.stderr)
+        snaps = evolve(state, steps, BENCHMARK_TIMES)
         records[model] = {t: summarize(d) for t, d in snaps}
     return records
 
@@ -141,7 +142,7 @@ def format_tables_report(
     for model, start, totals, heights, sites in REFERENCE_RUNS:
         lines.append(
             f"{model} walk, 25-node cycle, launched at {start}, "
-            f"{BENCHMARK_STEPS} steps"
+            f"{BENCHMARK_TIMES[-1]} steps"
         )
         lines.append(
             f"  {'quantity':<13}{'time':>8}  {'computed':>13}  {'reference':>10}"
@@ -230,7 +231,7 @@ def _build_parser() -> _Parser:
     tables_p = sub.add_parser(
         "tables",
         help="re-run the two long benchmarks and diff against reference values "
-        "(about 8 seconds)",
+        "(about 10 seconds)",
     )
     tables_p.add_argument(
         "--tolerance",
@@ -258,26 +259,11 @@ def _cmd_run(args) -> int:
     would write nothing.
     """
     site, coin = parse_start(args.start)
-    steps = args.steps
-    snapshots = args.snapshots if args.snapshots is not None else [steps]
+    snapshots = args.snapshots if args.snapshots is not None else [args.steps]
     formats = [f for f in args.format.split(",") if f != ""]
     try:
-        if args.cycle_size > _driver.MAX_HALFLINE_SITES:
-            raise ValueError(
-                f"cycle size {args.cycle_size} exceeds the limit of "
-                f"{_driver.MAX_HALFLINE_SITES} sites"
-            )
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        offset = site.index if isinstance(site, HalfLineNode) else 0
-        if offset + steps + 2 > _driver.MAX_HALFLINE_SITES:
-            raise ValueError(
-                f"launch offset {offset} + {steps} steps + 2 exceeds the "
-                f"limit of {_driver.MAX_HALFLINE_SITES} half-line sites"
-            )
         if not snapshots:
             raise ValueError("snapshot times must name at least one time")
-        _driver.validate_snapshot_times(snapshots, steps)
         if not formats or not set(formats) <= set(FORMATS):
             raise ValueError(f"formats must be a non-empty subset of {FORMATS}")
         if args.model == "classical" and coin is not None:
@@ -286,6 +272,7 @@ def _cmd_run(args) -> int:
             raise ValueError("quantum runs need a start coin (e.g. cycle:12:R)")
         topology = LollipopTopology(args.cycle_size)
         state, evolve = _launch(args.model, topology, site, coin)
+        _driver.check_walk(state, args.steps, snapshots)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

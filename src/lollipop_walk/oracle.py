@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import evolve_quantum, make_basis_state
-from .topology import Coin, CycleNode, HalfLineNode, LollipopTopology, Site
+from .topology import (
+    Coin, CycleNode, HalfLineNode, LollipopTopology, Site, _check_index,
+)
 
 # Largest truncation the builders take, as the unitary's 2n + 1 + 2 x_max
 # basis states: each of an audit's few dense matrices then takes 32 MiB.
@@ -45,8 +47,7 @@ def _sites(topology: LollipopTopology, x_max: int) -> list[Site]:
     """The truncated graph: cycle nodes 0..n-1, then half-line sites 1..x_max.
     Refuses, before listing a site, a truncation whose unitary dimension
     exceeds MAX_ORACLE_DIMENSION (the stochastic one's is smaller)."""
-    if x_max < 2:
-        raise ValueError(f"x_max must be >= 2 for a testable truncation, got {x_max}")
+    _check_index(x_max, "x_max", 2, " for a testable truncation")
     dimension = 2 * topology.cycle_size + 1 + 2 * x_max
     if dimension > MAX_ORACLE_DIMENSION:
         raise ValueError(

@@ -7,6 +7,7 @@ carry Down/Up, and the junction carries all of Left, Right, and Down.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +21,16 @@ class Coin(Enum):
     UP = "U"
 
 
+def _check_index(value, name: str, low: int, note: str = "") -> None:
+    """Raise ValueError unless `operator.index` takes `value` and it is >= low."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}{note}, got {value}")
+
+
 @dataclass(frozen=True)
 class CycleNode:
     """Cycle node [index]; index 0 is the junction."""
@@ -27,8 +38,7 @@ class CycleNode:
     index: int
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"cycle index must be >= 0, got {self.index}")
+        _check_index(self.index, "cycle index", 0)
 
 
 @dataclass(frozen=True)
@@ -41,10 +51,7 @@ class HalfLineNode:
     index: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(
-                f"half-line index must be >= 1 (0 is the junction), got {self.index}"
-            )
+        _check_index(self.index, "half-line index", 1, " (0 is the junction)")
 
 
 Site = CycleNode | HalfLineNode
@@ -66,8 +73,7 @@ class LollipopTopology:
     cycle_size: int
 
     def __post_init__(self):
-        if self.cycle_size < 3:
-            raise ValueError(f"cycle_size must be >= 3, got {self.cycle_size}")
+        _check_index(self.cycle_size, "cycle_size", 3)
 
     def coins_at(self, site: Site) -> tuple[Coin, ...]:
         """The coin states admitted at `site`, in fixed order."""

@@ -6,8 +6,12 @@ pays for them once (about half a minute in all on a 2-vCPU machine).
 
 from __future__ import annotations
 
+import types
+
+import numpy as np
 import pytest
 
+from lollipop_walk import _driver
 from lollipop_walk import (
     Coin,
     CycleNode,
@@ -59,3 +63,26 @@ def classical_junction(topology25):
     dist = make_point_distribution(topology25, CycleNode(0))
     snaps = evolve_classical(dist, BENCH_STEPS, BENCH_TIMES)
     return dict(snaps), dist
+
+
+@pytest.fixture
+def refuse_allocation(monkeypatch):
+    """A call that makes the engine fail, from then on, where it would
+    allocate a buffer wider than `columns` (default: any buffer).
+
+    A request the engine's checks pass then raises AssertionError where it
+    would allocate, and one they refuse raises ValueError; neither
+    allocates.  numpy itself is left alone.
+    """
+
+    def refuse(columns=0):
+        def zeros(shape, *args, **kwargs):
+            if shape[-1] > columns:
+                raise AssertionError("allocating call reached past the size limit")
+            return np.zeros(shape, *args, **kwargs)
+
+        engine_numpy = types.SimpleNamespace(**vars(np))
+        engine_numpy.zeros = zeros
+        monkeypatch.setattr(_driver, "np", engine_numpy)
+
+    return refuse

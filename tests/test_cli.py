@@ -78,7 +78,7 @@ def test_classical_config_takes_no_coin(tmp_path, capsys):
 REJECTED_RUNS = [
     ({"model": "thermal"}, "argument --model: invalid choice: 'thermal'"),
     ({"cycle_size": "2"}, "cycle_size must be >= 3, got 2"),
-    ({"steps": "-1"}, "steps must be >= 0, got -1"),
+    ({"steps": "-1"}, "total_steps must be >= 0 and an integer, got -1"),
     ({"snapshots": "4,0"}, "snapshot times must be strictly increasing: [4, 0]"),
     ({"snapshots": "0,9"}, "snapshot times must lie in [0, 4]: [0, 9]"),
     ({"snapshots": "0,0"}, "snapshot times must be strictly increasing: [0, 0]"),
@@ -394,27 +394,48 @@ def test_empty_snapshot_list_exits_1_before_running(capsys, tmp_path, snapshots)
 
 @pytest.mark.parametrize(
     "start,steps",
-    [("half:1000000000000:U", "0"), ("cycle:12:R", "100000000000")],
+    [("half:1000000000000:U", "0"), ("cycle:12:R", "100000000000"),
+     ("half:9999999:U", "0"), ("cycle:12:R", "9999999")],
 )
-def test_oversized_halfline_run_exits_1_before_allocating(start, steps, capsys, tmp_path):
+def test_oversized_halfline_run_exits_1_before_allocating(
+    start, steps, capsys, tmp_path, refuse_allocation
+):
+    refuse_allocation(columns=100)  # a 25-node cycle launch's own buffer, no more
     out = tmp_path / "out"
     assert main(run_args(out, start=start, steps=steps)) == 1
     assert "half-line sites" in capsys.readouterr().err
     assert not out.exists()
 
 
+def test_oversized_cycle_run_exits_1_before_allocating(
+    capsys, tmp_path, refuse_allocation
+):
+    refuse_allocation()
+    out = tmp_path / "out"
+    for cycle_size in ("1000000000000", "10000001"):
+        argv = run_args(out, model="classical", start="cycle:1", steps="0",
+                        cycle_size=cycle_size)
+        assert main(argv) == 1
+        assert "exceeds the limit" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"start": "half:9999998:U", "steps": "0"},
+     {"start": "cycle:12:R", "steps": "9999998"},
+     {"model": "classical", "start": "cycle:1", "cycle_size": "10000000"}],
+)
+def test_run_at_the_size_limit_reaches_the_allocation(
+    overrides, tmp_path, refuse_allocation
+):
+    refuse_allocation(columns=100)
+    with pytest.raises(AssertionError, match="allocating call reached"):
+        main(run_args(tmp_path / "out", **{"steps": "0", **overrides}))
+
+
 def refuse_to_allocate(*args):
     raise AssertionError("allocating call reached past the size limit")
-
-
-def test_oversized_cycle_run_exits_1_before_allocating(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(cli, "make_point_distribution", refuse_to_allocate)
-    out = tmp_path / "out"
-    argv = run_args(out, model="classical", start="cycle:1", steps="0",
-                    cycle_size="1000000000000")
-    assert main(argv) == 1
-    assert "exceeds the limit" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -566,7 +587,6 @@ def test_tables_negative_zero_tolerance_prints_as_zero(monkeypatch, capsys):
 def short_benchmarks(monkeypatch):
     # short benchmark times keep the walks cheap; the shape is the same
     monkeypatch.setattr(cli, "BENCHMARK_TIMES", (2, 5, 10))
-    monkeypatch.setattr(cli, "BENCHMARK_STEPS", 10)
 
 
 def test_tables_report_announces_each_benchmark_on_stderr(monkeypatch, capsys):

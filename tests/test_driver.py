@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lollipop_walk import _driver
 from lollipop_walk import (
     Coin,
     CycleNode,
@@ -135,6 +136,58 @@ def test_non_integral_snapshot_times_are_rejected(topo, model, times):
     with pytest.raises(ValueError, match="must be integers"):
         evolve(state, 10, times)
     assert state.time == 0
+
+
+# --- the engine's size limit, checked before anything is allocated ----------
+
+# Coin.DOWN is admitted at the junction and on the half-line alike
+LAUNCHES = {
+    "quantum": (lambda topo, site: make_basis_state(topo, site, Coin.DOWN),
+                evolve_quantum),
+    "classical": (make_point_distribution, evolve_classical),
+}
+
+
+@pytest.mark.parametrize("model", sorted(LAUNCHES))
+def test_oversized_launch_is_refused_before_allocating(model, refuse_allocation):
+    launch, _ = LAUNCHES[model]
+    refuse_allocation()
+    with pytest.raises(ValueError, match="cycle size 1000000000000 exceeds the limit"):
+        launch(LollipopTopology(10**12), CycleNode(0))
+    with pytest.raises(ValueError, match="offset 1000000000000 .* half-line sites"):
+        launch(LollipopTopology(5), HalfLineNode(10**12))
+
+
+@pytest.mark.parametrize("model", sorted(LAUNCHES))
+def test_oversized_evolve_is_refused_before_stepping(model, refuse_allocation):
+    launch, evolve = LAUNCHES[model]
+    state = launch(LollipopTopology(5), CycleNode(0))
+    refuse_allocation()
+    with pytest.raises(ValueError, match="10000000 half-line sites"):
+        evolve(state, 10**12, [0])
+    assert state.time == 0
+
+
+@pytest.mark.parametrize("model", sorted(LAUNCHES))
+def test_size_limit_boundary(monkeypatch, model, refuse_allocation):
+    # a walk at half-line offset x needs x + t + 2 sites after t steps
+    monkeypatch.setattr(_driver, "MAX_HALFLINE_SITES", 100)
+    launch, evolve = LAUNCHES[model]
+    topo = LollipopTopology(5)
+    state = launch(topo, CycleNode(0))
+    refuse_allocation()
+    assert _driver.check_walk(state, 98, [0, 98]) == (98, [0, 98])
+    with pytest.raises(ValueError, match=r"offset 0 \+ 99 steps \+ 2 exceeds"):
+        evolve(state, 99)
+    assert state.time == 0
+    with pytest.raises(AssertionError, match="allocating call reached"):
+        launch(topo, HalfLineNode(98))
+    with pytest.raises(ValueError, match=r"offset 99 \+ 0 steps \+ 2 exceeds"):
+        launch(topo, HalfLineNode(99))
+    with pytest.raises(AssertionError, match="allocating call reached"):
+        launch(LollipopTopology(100), CycleNode(0))
+    with pytest.raises(ValueError, match="cycle size 101 exceeds the limit of 100"):
+        launch(LollipopTopology(101), CycleNode(0))
 
 
 # Steps run in blocks that end at every tail trim (each 64 steps) and before

@@ -131,6 +131,10 @@ def test_rejects_tiny_truncation():
         build_dense_unitary(topo, 1)
     with pytest.raises(ValueError):
         build_dense_stochastic(topo, 1)
+    for x_max in (4.0, 4.5, "4", None):
+        for build in (build_dense_unitary, build_dense_stochastic):
+            with pytest.raises(ValueError, match="x_max must be an integer"):
+                build(topo, x_max)
 
 
 def refuse_to_allocate(*args):

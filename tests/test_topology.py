@@ -45,6 +45,11 @@ def test_site_validation():
         CycleNode(-3)
     with pytest.raises(ValueError):
         LollipopTopology(2)
+    # only values that operator.index takes are sizes and indices
+    for value in (25.0, 1.5, 2.5, "3", None, float("nan")):
+        for make in (CycleNode, HalfLineNode, LollipopTopology):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(value)
     topo = LollipopTopology(5)
     with pytest.raises(ValueError):
         topo.coins_at(CycleNode(5))  # out of range for n=5
