@@ -35,6 +35,26 @@ classical walk (k = 1).  The step is linear and does not grow the 2-norm
 untrimmed one by at most the sum of the norms the trims discarded: far
 below anything a float64 observable resolves.
 
+A walk whose class supplies `_free_steps` (the quantum walk) also takes
+light-cone blocks.  Past the junction the half-line is a free,
+translation-invariant line, and K steps on carry half-line site y > K only
+from old half-line sites within K of it, none of them the junction.  So
+when the walk sits on a trim boundary with its frontier m at least
+`_BLOCK_SHARE * _BLOCK_MIN` sites out and at least `_BLOCK_MIN` steps left
+before the caller's target, `_advance_light_cone` advances K steps at
+once: the kernel steps the strip of sites up to 2K + 1 (cycle and junction
+included) K times, renormalizing as the trim does, which gives sites up
+to K the bits of single steps; one rfft/irfft pair per row moves the old
+half-line by the free line's K-step symbol into sites K + 1 .. m + K; and
+the tail is cut at the block's round-off bound, which `_free_steps`
+returns, in place of `tiny`.  A block differs from the same steps taken
+one at a time within the bound `quantum` states.  `run_walk` advances one
+snapshot interval at a time, so blocks never cross a snapshot time, and
+extra snapshot times split blocks and can move results within that bound.
+The classical walk keeps single steps: its tail spans hundreds of decades
+below the peak, and an FFT's absolute round-off, about 1e-17 of the peak,
+would erase the relative accuracy of every value printed there.
+
 The engine classes are the only code that knows where a (site, coin) value
 is stored; everything else reads a walk through its accessors and
 `observables.position_distribution`.
@@ -52,11 +72,27 @@ _MIN_EXTENT = 2
 _TRIM_PERIOD = 64
 _TINY = np.finfo(np.float64).tiny
 # Largest cycle, and largest half-line a walk may need, that the engine
-# takes: `_launch` and `check_walk` refuse more before they allocate or
-# step.  Front and back buffer take 32 B per column for the quantum walk's
-# two rows, 16 B for the classical walk's one, so after doubling the
-# half-line part stays near 640 MB and a cycle this size 320 MB.
+# takes: `_launch`, `check_walk` and `advance` refuse more before they
+# allocate or step.  Front and back buffer take 32 B per column for the
+# quantum walk's two rows, 16 B for the classical walk's one, so after
+# doubling the half-line part stays near 640 MB and a cycle this size
+# 320 MB.  A light-cone block adds about 85 B of temporaries per FFT point
+# (measured with tracemalloc), under 1.5 GB for the 2**24 points it may
+# need here.
 MAX_HALFLINE_SITES = 10**7
+# A light-cone block takes min(steps left, frontier // _BLOCK_SHARE,
+# _BLOCK_MAX) steps rounded down to a multiple of _TRIM_PERIOD, if that is
+# at least _BLOCK_MIN: so blocks start at frontier 2048.  On a 2-vCPU Xeon
+# host (n = 25, medians of 31 alternating runs, warm phase table) a block
+# lost to stepping at frontier 564 (0.92x, K = 128), broke even near 1000
+# (1.1x at 1076) and won 1.5-1.8x at 2092 (K = 256, 512) and 2.1x at 8194
+# (K = 512); the threshold leaves room for the symbol's phase table, built
+# once per FFT size.  The strip's 2K sites then set a block's cost, so K
+# stays under an eighth of the frontier; capping K at 4096 in place of
+# 2048 made 100 000 steps slower (1.58 against 1.31 s).
+_BLOCK_SHARE = 8
+_BLOCK_MIN = 256
+_BLOCK_MAX = 2048
 
 
 class TwoBufferWalk:
@@ -85,8 +121,14 @@ class TwoBufferWalk:
       so: the width of a block changes no value, signed zeros included;
     - `_site_probabilities() -> (cycle, halfline)`: fresh arrays of the
       probability at each cycle node and half-line site, with half-line
-      index 0 zero (the junction counts on the cycle).
+      index 0 zero (the junction counts on the cycle);
+    - `_free_steps(spectra, steps) -> floor` (optional): move the rfft
+      `spectra` of the rows' half-line part by `steps` steps of the free
+      line, in place, and return the block's round-off bound; a walk
+      without it never takes light-cone blocks.
     """
+
+    _free_steps = None
 
     def __init__(self, topology, extent: int = _MIN_EXTENT):
         extent = max(int(extent), _MIN_EXTENT)
@@ -148,8 +190,14 @@ class TwoBufferWalk:
     def advance(self, steps: int) -> None:
         """Apply `steps` walk steps, one block at a time."""
         steps = step_count(steps, "steps")
+        _check_reach(self.topology, self._frontier, steps)
         n = self.topology.cycle_size
         while steps > 0:
+            block = self._light_cone_block(steps)
+            if block:
+                self._advance_light_cone(block)
+                steps -= block
+                continue
             m = self._frontier
             self.reserve(m + 2)
             block = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD,
@@ -175,19 +223,65 @@ class TwoBufferWalk:
         return 2.0 ** -(self.time % _TRIM_PERIOD)
 
     def _trim_tail(self) -> None:
-        """Remove the row's gain from its live columns, then move the
-        frontier back to the last half-line site where some component is
-        at least the smallest normal double, zeroing the contiguous tail
-        past it in the front and back buffers alike."""
+        """Remove the row's gain from its live columns, then cut the tail
+        below the smallest normal double."""
         n, m = self.topology.cycle_size, self._frontier
         live = self._values[:, : n + m + 2]
         np.multiply(live, self._TRIM_RENORM, live)  # `*=` on a slice copies it back
-        normal = (np.abs(self._values[:, n : n + m + 1]) >= _TINY).any(axis=0)
-        sites = np.flatnonzero(normal)
+        self._cut_tail(_TINY)
+
+    def _cut_tail(self, floor: float) -> None:
+        """Move the frontier back to the last half-line site where some
+        component is at least `floor`, zeroing the contiguous tail past it
+        in the front and back buffers alike."""
+        n, m = self.topology.cycle_size, self._frontier
+        kept = (np.abs(self._values[:, n : n + m + 1]) >= floor).any(axis=0)
+        sites = np.flatnonzero(kept)
         keep = int(sites[-1]) if sites.size else 0
         self._values[:, n + keep + 1 : n + m + 2] = 0.0
         self._back[:, n + keep + 1 : n + m + 2] = 0.0
         self._frontier = keep
+
+    def _light_cone_block(self, steps: int) -> int:
+        """Steps of a light-cone block to take now, or 0 for none."""
+        if self._free_steps is None or self.time % _TRIM_PERIOD:
+            return 0
+        block = min(steps, self._frontier // _BLOCK_SHARE, _BLOCK_MAX)
+        block -= block % _TRIM_PERIOD
+        return block if block >= _BLOCK_MIN else 0
+
+    def _advance_light_cone(self, steps: int) -> None:
+        """Advance `steps` (a multiple of `_TRIM_PERIOD`, with the frontier
+        m at least steps + 2) at once, from a trim boundary.
+
+        The bulk, half-line sites steps + 1 .. m + steps, is the old
+        half-line moved by `_free_steps` over FFT points past m + 2 * steps
+        + 1, so no site wraps around into another.  The strip writes sites
+        up to 2 * steps + 1 and reads site 2 * steps + 2 of the other buffer,
+        which holds stale values: after j steps they have spoiled sites past
+        2 * steps + 2 - j, so sites up to steps + 2 come out exact and the
+        bulk overwrites the rest.
+        """
+        n, m = self.topology.cycle_size, self._frontier
+        points = 1 << (m + 2 * steps + 1).bit_length()  # >= m + 2 * steps + 2
+        spectra = np.fft.rfft(self._values[:, n : n + m + 1], points)
+        floor = self._free_steps(spectra, steps)
+        bulk = np.fft.irfft(spectra, points)[:, steps + 1 : m + steps + 1]
+        del spectra  # before `reserve` may allocate
+        self.reserve(m + steps + 2)
+        width = n + 2 * steps + 2
+        strip = self._values[:, :width]
+        forward = self._kernel(self._values, self._back, width)
+        backward = self._kernel(self._back, self._values, width)
+        for _ in range(steps // _TRIM_PERIOD):
+            for _ in range(_TRIM_PERIOD // 2):
+                forward()
+                backward()
+            np.multiply(strip, self._TRIM_RENORM, strip)
+        self._values[:, n + steps + 1 : n + m + steps + 1] = bulk
+        self.time += steps
+        self._frontier = m + steps
+        self._cut_tail(floor)
 
 
 def _is_integer(value) -> bool:

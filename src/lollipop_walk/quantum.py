@@ -12,10 +12,39 @@ holds the same values a complex engine would keep in its real parts.
 Storage, half-line growth and the step loop are the shared two-buffer
 engine in `_driver`.  A step rounds each value about once: after t steps
 each amplitude is within t * 2**-52 of its value in exact arithmetic.
+
+Once the frontier passes 2048 sites, the engine advances in light-cone
+blocks (see `_driver`): it steps the strip next to the junction and moves
+the rest of the half-line by the free walk's K-step symbol, applied by
+`_free_steps` between one rfft/irfft pair.  A block of K steps over L FFT
+points is within `_block_error(K, L)`,
+
+    eps(K, L) = (4 K eps_ld / 2**-52 + 7 log2(2 L) + 8) * 2**-52,
+
+in 2-norm (so in every amplitude) of exact arithmetic, from three parts:
+
+- FFT round-off: each transform errs by at most log2(L) eta relative to
+  the 2-norm, eta = mu + gamma_4 (sqrt(2) + mu), about 6.7 * 2**-53 with
+  accurate twiddles (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2nd ed., section 24.1, Theorem 24.2): 7 log2(2 L) covers the
+  pair, and 8 more units the roundings in the symbol and its product;
+- the symbol's phase: K w errs by K times the error in w, at most
+  4 K eps_ld with w taken from long double (eps_ld = 2**-63 on x86, so the
+  term stays below K / 512 units; where long double is float64 it is 4 K);
+- the tail cut at eps(K, L): it discards less than 2 eps**2 probability
+  per cut site, and a cut that discards probability P moves the state by
+  sqrt(P).
+
+So after t steps each amplitude is within t * 2**-52 plus, over the blocks
+taken, the sum of eps(K, L) + sqrt(P).  Against an impulse stepped in long
+double one block errs by at most 6.6e-17, 3.6e-17 and 2.7e-17 at K = 64,
+256 and 1024, and 100 000 steps from cycle:12:R on 25 nodes stay within
+1.7e-15 of single steps in every probability.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +58,44 @@ from .topology import (
     LollipopTopology,
     Site,
 )
+
+
+_PI = np.longdouble("3.14159265358979323846264338327950288")
+# the head of an eigenphase is a multiple of 2**-40 below pi/4, so `steps`
+# times it is exact in float64 for any block shorter than 2**12 steps
+_HEAD = 2.0**-40
+# long double's epsilon in units of float64's: 2**-11 on x86, else 1
+_PHASE_EPS = float(np.finfo(np.longdouble).eps) / 2.0**-52
+
+
+@functools.lru_cache(maxsize=1)
+def _free_line_phases(points: int):
+    """sin k, cos k, sqrt(1 + cos(k)^2) and the eigenphase w, split as
+    head + tail, at the rfft frequencies k = 2 pi j / points; read-only.
+
+    A block's phase K w would multiply any error in w by K, so w and the
+    values it comes from are computed in long double, and w is kept to
+    more than float64 precision as its exact float64 head plus a tail.
+    """
+    quarter = np.arange(points // 4 + 1, dtype=np.longdouble) * (2 * _PI / points)
+    sin_k = np.sin(quarter)
+    root = np.sqrt(2 - sin_k * sin_k)  # sqrt(1 + cos(k)^2) = sqrt(2) cos w
+    w = np.arctan2(sin_k, root)  # sin w = sin(k) / sqrt(2)
+    # all three are even about k = pi / 2
+    sin_k, root, w = (np.concatenate((v, v[-2::-1])) for v in (sin_k, root, w))
+    head = np.round(w.astype(float) / _HEAD) * _HEAD
+    cos_k = np.cos(np.arange(points // 2 + 1) * (2 * math.pi / points))
+    phases = [sin_k.astype(float), cos_k, root.astype(float), head,
+              (w - head).astype(float)]
+    for v in phases:
+        v.flags.writeable = False
+    return phases
+
+
+def _block_error(steps: int, points: int) -> float:
+    """Bound on the 2-norm error of one light-cone block of `steps` steps
+    over `points` FFT points (see the module docstring)."""
+    return (4 * steps * _PHASE_EPS + 7 * points.bit_length() + 8) * 2.0**-52
 
 
 class WalkerState(_driver.TwoBufferWalk):
@@ -71,6 +138,41 @@ class WalkerState(_driver.TwoBufferWalk):
         cycle[0] += halfline[0]
         halfline[0] = 0.0
         return cycle, halfline
+
+    @staticmethod
+    def _free_steps(spectra, steps):
+        """Move the half-line by `steps` (even) free Hadamard steps in place.
+
+        `spectra` holds the rfft, over L points, of the Down and Up rows.
+        At frequency k one step is M(k) = [[e^ik, e^ik], [e^-ik, -e^-ik]] / sqrt(2),
+        with trace tau = i sqrt(2) sin k and determinant -1, so M^2 = tau M + I
+        (Cayley-Hamilton) and M^K = a_K M + a_{K-1} I, where a_K =
+        (z1^K - z2^K) / (z1 - z2) over the eigenvalues z1 = e^iw, z2 = -e^-iw,
+        sin w = sin(k) / sqrt(2).  For even K that is
+            Down' = b Down + e (Down + Up),  Up' = b Up + conj(e) (Up - Down),
+        with b = cos((K-1) w) / cos w and e = i e^ik sin(K w) / (sqrt(2) cos w).
+        Returns the block's round-off bound, `_block_error(steps, L)`.
+        """
+        points = 2 * (spectra.shape[1] - 1)
+        sin_k, cos_k, root, head, tail = _free_line_phases(points)
+        # K w = A + B with A exact and |B| < 2**-28: sin B = B and cos B = 1
+        # to double precision, so no rounding error grows with K
+        angle, small = steps * head, steps * tail
+        sin_a, cos_a = np.sin(angle), np.cos(angle)
+        s = (sin_a + small * cos_a) / root  # sin(K w) / (sqrt(2) cos w)
+        e = np.empty(sin_k.size, complex)
+        np.multiply(-s, sin_k, e.real)
+        np.multiply(s, cos_k, e.imag)
+        # cos((K-1) w) / cos w = cos(K w) + sin(K w) tan w
+        b = cos_a - small * sin_a - e.real
+        down, up = spectra
+        total, diff = down + up, up - down
+        for row, mixed in ((down, total), (up, diff)):
+            np.multiply(mixed, e, mixed)
+            np.multiply(row, b, row)
+            np.add(row, mixed, row)
+            np.conj(e, e)
+        return _block_error(steps, points)
 
     def _kernel(self, values, new, width):
         n = self.topology.cycle_size

@@ -190,6 +190,25 @@ def test_size_limit_boundary(monkeypatch, model, refuse_allocation):
         launch(LollipopTopology(101), CycleNode(0))
 
 
+@pytest.mark.parametrize("model", sorted(LAUNCHES))
+def test_advance_is_refused_past_the_size_limit_before_stepping(
+    monkeypatch, model, refuse_allocation
+):
+    monkeypatch.setattr(_driver, "MAX_HALFLINE_SITES", 100)
+    launch, _ = LAUNCHES[model]
+    topo = LollipopTopology(5)
+    walk = launch(topo, CycleNode(0))
+    extent = walk.extent
+    # growth at most doubles the half-line part a walk may need
+    refuse_allocation(topo.cycle_size + 2 * 100 + 1)
+    with pytest.raises(ValueError, match=r"offset 0 \+ 99 steps \+ 2 exceeds"):
+        walk.advance(99)
+    assert walk.time == 0
+    assert walk.extent == extent
+    walk.advance(98)
+    assert walk.time == 98
+
+
 # Steps run in blocks that end at every tail trim (each 64 steps) and before
 # every buffer growth.  A window of CHUNK_STEPS from t = 0 spans four trims
 # and several growths; from DEEP_START the trims cut the underflowed
