@@ -76,20 +76,20 @@ _TINY = np.finfo(np.float64).tiny
 # allocate or step.  Front and back buffer take 32 B per column for the
 # quantum walk's two rows, 16 B for the classical walk's one, so after
 # doubling the half-line part stays near 640 MB and a cycle this size
-# 320 MB.  A light-cone block adds about 85 B of temporaries per FFT point
-# (measured with tracemalloc), under 1.5 GB for the 2**24 points it may
+# 320 MB.  A light-cone block adds about 64 B of temporaries per FFT point
+# (measured with tracemalloc), about 1.1 GB for the 2**24 points it may
 # need here.
 MAX_HALFLINE_SITES = 10**7
 # A light-cone block takes min(steps left, frontier // _BLOCK_SHARE,
 # _BLOCK_MAX) steps rounded down to a multiple of _TRIM_PERIOD, if that is
 # at least _BLOCK_MIN: so blocks start at frontier 2048.  On a 2-vCPU Xeon
-# host (n = 25, medians of 31 alternating runs, warm phase table) a block
-# lost to stepping at frontier 564 (0.92x, K = 128), broke even near 1000
-# (1.1x at 1076) and won 1.5-1.8x at 2092 (K = 256, 512) and 2.1x at 8194
-# (K = 512); the threshold leaves room for the symbol's phase table, built
-# once per FFT size.  The strip's 2K sites then set a block's cost, so K
-# stays under an eighth of the frontier; capping K at 4096 in place of
-# 2048 made 100 000 steps slower (1.58 against 1.31 s).
+# host (n = 25, medians of 31 alternating runs, each block computing its
+# own symbol) a block lost to stepping at frontier 564 (0.94x, K = 128),
+# broke even near 1000 (1.1x at 1076, K = 256) and won 1.3x at 2092
+# (K = 256, 512) and 1.8x at 8194 (K = 512); the threshold sits at twice
+# the break-even frontier.  The strip's 2K sites then set a block's cost,
+# so K stays under an eighth of the frontier; capping K at 4096 in place
+# of 2048 made 100 000 steps slower (1.77 against 1.47 s).
 _BLOCK_SHARE = 8
 _BLOCK_MIN = 256
 _BLOCK_MAX = 2048

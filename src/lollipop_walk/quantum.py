@@ -19,7 +19,7 @@ the rest of the half-line by the free walk's K-step symbol, applied by
 `_free_steps` between one rfft/irfft pair.  A block of K steps over L FFT
 points is within `_block_error(K, L)`,
 
-    eps(K, L) = (4 K eps_ld / 2**-52 + 7 log2(2 L) + 8) * 2**-52,
+    eps(K, L) = (4 K + 7 log2(2 L) + 8) * 2**-52,
 
 in 2-norm (so in every amplitude) of exact arithmetic, from three parts:
 
@@ -28,23 +28,26 @@ in 2-norm (so in every amplitude) of exact arithmetic, from three parts:
   accurate twiddles (Higham, Accuracy and Stability of Numerical
   Algorithms, 2nd ed., section 24.1, Theorem 24.2): 7 log2(2 L) covers the
   pair, and 8 more units the roundings in the symbol and its product;
-- the symbol's phase: K w errs by K times the error in w, at most
-  4 K eps_ld with w taken from long double (eps_ld = 2**-63 on x86, so the
-  term stays below K / 512 units; where long double is float64 it is 4 K);
+- the symbol's phase: K w errs by K times the error in the eigenphase w
+  plus the product's rounding, at most 4 K units: k is rounded only on
+  [0, pi/2], where that moves w by under 1/2 unit; sin k, the division by
+  sqrt(2) and arcsin round once each, which arcsin's slope (at most
+  sqrt(2)) turns into under 3 units; the product rounds by under K / 2;
 - the tail cut at eps(K, L): it discards less than 2 eps**2 probability
   per cut site, and a cut that discards probability P moves the state by
   sqrt(P).
 
 So after t steps each amplitude is within t * 2**-52 plus, over the blocks
 taken, the sum of eps(K, L) + sqrt(P).  Against an impulse stepped in long
-double one block errs by at most 6.6e-17, 3.6e-17 and 2.7e-17 at K = 64,
-256 and 1024, and 100 000 steps from cycle:12:R on 25 nodes stay within
-1.7e-15 of single steps in every probability.
+double one block errs by 4.2e-15, 1.7e-14 and 7.3e-14 at K = 64, 256 and
+1024, about K / 3 units, and 100 000 steps from cycle:12:R on 25 nodes
+stay within 1.8e-14 of single steps in every probability.  A block's last
+bits depend on numpy's FFT and sin/cos, so they may differ between numpy
+builds and CPUs, within the bound.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -60,42 +63,10 @@ from .topology import (
 )
 
 
-_PI = np.longdouble("3.14159265358979323846264338327950288")
-# the head of an eigenphase is a multiple of 2**-40 below pi/4, so `steps`
-# times it is exact in float64 for any block shorter than 2**12 steps
-_HEAD = 2.0**-40
-# long double's epsilon in units of float64's: 2**-11 on x86, else 1
-_PHASE_EPS = float(np.finfo(np.longdouble).eps) / 2.0**-52
-
-
-@functools.lru_cache(maxsize=1)
-def _free_line_phases(points: int):
-    """sin k, cos k, sqrt(1 + cos(k)^2) and the eigenphase w, split as
-    head + tail, at the rfft frequencies k = 2 pi j / points; read-only.
-
-    A block's phase K w would multiply any error in w by K, so w and the
-    values it comes from are computed in long double, and w is kept to
-    more than float64 precision as its exact float64 head plus a tail.
-    """
-    quarter = np.arange(points // 4 + 1, dtype=np.longdouble) * (2 * _PI / points)
-    sin_k = np.sin(quarter)
-    root = np.sqrt(2 - sin_k * sin_k)  # sqrt(1 + cos(k)^2) = sqrt(2) cos w
-    w = np.arctan2(sin_k, root)  # sin w = sin(k) / sqrt(2)
-    # all three are even about k = pi / 2
-    sin_k, root, w = (np.concatenate((v, v[-2::-1])) for v in (sin_k, root, w))
-    head = np.round(w.astype(float) / _HEAD) * _HEAD
-    cos_k = np.cos(np.arange(points // 2 + 1) * (2 * math.pi / points))
-    phases = [sin_k.astype(float), cos_k, root.astype(float), head,
-              (w - head).astype(float)]
-    for v in phases:
-        v.flags.writeable = False
-    return phases
-
-
 def _block_error(steps: int, points: int) -> float:
     """Bound on the 2-norm error of one light-cone block of `steps` steps
     over `points` FFT points (see the module docstring)."""
-    return (4 * steps * _PHASE_EPS + 7 * points.bit_length() + 8) * 2.0**-52
+    return (4 * steps + 7 * points.bit_length() + 8) * 2.0**-52
 
 
 class WalkerState(_driver.TwoBufferWalk):
@@ -154,17 +125,16 @@ class WalkerState(_driver.TwoBufferWalk):
         Returns the block's round-off bound, `_block_error(steps, L)`.
         """
         points = 2 * (spectra.shape[1] - 1)
-        sin_k, cos_k, root, head, tail = _free_line_phases(points)
-        # K w = A + B with A exact and |B| < 2**-28: sin B = B and cos B = 1
-        # to double precision, so no rounding error grows with K
-        angle, small = steps * head, steps * tail
-        sin_a, cos_a = np.sin(angle), np.cos(angle)
-        s = (sin_a + small * cos_a) / root  # sin(K w) / (sqrt(2) cos w)
+        k = np.arange(spectra.shape[1]) * (2 * math.pi / points)
+        sin_k = np.sin(k[: points // 4 + 1])
+        sin_k = np.concatenate((sin_k, sin_k[-2::-1]))  # even about k = pi / 2
+        angle = steps * np.arcsin(sin_k / math.sqrt(2))  # K w
+        s = np.sin(angle) / np.sqrt(2 - sin_k * sin_k)  # sin(K w) / (sqrt(2) cos w)
         e = np.empty(sin_k.size, complex)
         np.multiply(-s, sin_k, e.real)
-        np.multiply(s, cos_k, e.imag)
+        np.multiply(s, np.cos(k), e.imag)
         # cos((K-1) w) / cos w = cos(K w) + sin(K w) tan w
-        b = cos_a - small * sin_a - e.real
+        b = np.cos(angle) - e.real
         down, up = spectra
         total, diff = down + up, up - down
         for row, mixed in ((down, total), (up, diff)):
