@@ -6,21 +6,25 @@ is the junction) and half-line site x in column n + x.  Away from the
 junction both walks are a nearest-neighbour stencil along that row, so one
 array pass per direction steps the cycle and the half-line together.  The
 half-line part grows geometrically ahead of the walker's frontier.  Steps run
-in blocks, one Python loop each, that end at each tail trim and before each
-growth, so that the buffer grows at the same frontiers step by step.  After
-t steps from a site at offset x the support cannot pass half-line site
-x + t, so a row that long would hold the infinite half-line exactly.
+in blocks that end at each tail trim and before each growth, so that the
+buffer grows at the same frontiers step by step.  Every block, of either
+kind below, runs through one loop, `_step_columns`, which builds the two
+kernels once and alternates them.  After t steps from a site at offset x
+the support cannot pass half-line site x + t, so a row that long would hold
+the infinite half-line exactly.
 
 Each kernel writes the next state times a gain under which the walk's
 probabilities double every step (sqrt(2) on quantum amplitudes, 2 on
 classical masses), so that a step needs no scaling pass: the row holds
 the probabilities times 2**(time % _TRIM_PERIOD), which `_scale` undoes
-for readers.  Each trim removes the gain from the row itself, an exact
-power of two, multiplying only the live columns (those up to just past the
-frontier; the rest hold +0.0) before it scans.  A step is its array passes
-plus a few scalar fix-ups at the junction and the seam; a kernel may write
-scratch values into columns 0 and n of its source buffer, because that
-buffer is the next step's target and the next step rewrites both.
+for readers.  At each trim boundary `_step_columns` removes the gain from
+the row itself, an exact power of two, multiplying only the columns its
+block stepped and the one past them, before the trim scans: past those a
+trim-period block leaves +0.0, and a light-cone block pastes its moved
+half-line over them.  A step is its array passes plus a few scalar fix-ups
+at the junction and the seam; a kernel may write scratch values into
+columns 0 and n of its source buffer, because that buffer is the next
+step's target and the next step rewrites both.
 
 Far ahead of the walker the values fall below the smallest normal double
 `tiny` (2.2e-308) to subnormal residue and zeros, while the frontier still
@@ -41,13 +45,12 @@ translation-invariant line, and K steps on carry half-line site y > K only
 from old half-line sites within K of it, none of them the junction.  So
 when the walk sits on a trim boundary with its frontier m at least
 `_BLOCK_SHARE * _BLOCK_MIN` sites out and at least `_BLOCK_MIN` steps left
-before the caller's target, `_advance_light_cone` advances K steps at
-once: the kernel steps the strip of sites up to 2K + 1 (cycle and junction
-included) K times, renormalizing as the trim does, which gives sites up
-to K the bits of single steps; one rfft/irfft pair per row moves the old
-half-line by the free line's K-step symbol into sites K + 1 .. m + K; and
-the tail is cut at the block's round-off bound, which `_free_steps`
-returns, in place of `tiny`.  A block differs from the same steps taken
+before the caller's target, `advance` takes K steps at once: `_free_steps`
+moves the old half-line by the free line's K-step symbol into sites
+K + 1 .. m + K and returns the block's round-off bound; the kernel steps
+the strip of sites up to 2K + 1 (cycle and junction included) K times,
+which gives sites up to K the bits of single steps; and the tail is cut at
+that bound in place of `tiny`.  A block differs from the same steps taken
 one at a time within the bound `quantum` states.  `run_walk` advances one
 snapshot interval at a time, so blocks never cross a snapshot time, and
 extra snapshot times split blocks and can move results within that bound.
@@ -122,10 +125,12 @@ class TwoBufferWalk:
     - `_site_probabilities() -> (cycle, halfline)`: fresh arrays of the
       probability at each cycle node and half-line site, with half-line
       index 0 zero (the junction counts on the cycle);
-    - `_free_steps(spectra, steps) -> floor` (optional): move the rfft
-      `spectra` of the rows' half-line part by `steps` steps of the free
-      line, in place, and return the block's round-off bound; a walk
-      without it never takes light-cone blocks.
+    - `_free_steps(rows, steps) -> (moved, floor)` (optional): from the
+      rows of half-line sites 0..m at gain 1, return sites steps + 1 ..
+      m + steps after `steps` steps of the free line, and the block's
+      round-off bound; a walk without it never takes light-cone blocks.
+
+    `advance` is the only way to step.
     """
 
     _free_steps = None
@@ -183,52 +188,60 @@ class TwoBufferWalk:
         self._values[:, : old.shape[1]] = old
         self._back = np.zeros_like(self._values)
 
-    def step(self) -> None:
-        """Apply one walk step."""
-        self.advance(1)
-
     def advance(self, steps: int) -> None:
         """Apply `steps` walk steps, one block at a time."""
         steps = step_count(steps, "steps")
         _check_reach(self.topology, self._frontier, steps)
         n = self.topology.cycle_size
         while steps > 0:
+            m = self._frontier
             block = self._light_cone_block(steps)
             if block:
-                self._advance_light_cone(block)
-                steps -= block
-                continue
-            m = self._frontier
-            self.reserve(m + 2)
-            block = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD,
-                        self.extent - m - 1)
-            # the block's last step reaches half-line site m + block
-            width = n + m + block + 1
-            forward = self._kernel(self._values, self._back, width)
-            backward = self._kernel(self._back, self._values, width)
-            for _ in range(block // 2):
-                forward()
-                backward()
-            if block % 2:
-                forward()
-                self._values, self._back = self._back, self._values
+                moved, floor = self._free_steps(self._values[:, n : n + m + 1], block)
+                self.reserve(m + block + 2)
+                # the strip reads the stale half-line site 2 * block + 2,
+                # which after j steps has spoiled sites past 2 * block + 2 - j:
+                # sites up to block + 2 come out exact, and `moved` (sites
+                # block + 1 .. m + block) overwrites the rest
+                self._step_columns(n + 2 * block + 2, block)
+                self._values[:, n + block + 1 : n + m + block + 1] = moved
+                del moved  # before the next block's transforms allocate
+            else:
+                self.reserve(m + 2)
+                block = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD,
+                            self.extent - m - 1)
+                # the block's last step reaches half-line site m + block
+                self._step_columns(n + m + block + 1, block)
+                floor = _TINY
             self._frontier = m + block
-            self.time += block
             steps -= block
             if self.time % _TRIM_PERIOD == 0:
-                self._trim_tail()
+                self._cut_tail(floor)
 
     def _scale(self) -> float:
         """Factor that turns the row's gained probabilities into true ones."""
         return 2.0 ** -(self.time % _TRIM_PERIOD)
 
-    def _trim_tail(self) -> None:
-        """Remove the row's gain from its live columns, then cut the tail
-        below the smallest normal double."""
-        n, m = self.topology.cycle_size, self._frontier
-        live = self._values[:, : n + m + 2]
-        np.multiply(live, self._TRIM_RENORM, live)  # `*=` on a slice copies it back
-        self._cut_tail(_TINY)
+    def _step_columns(self, width: int, steps: int) -> None:
+        """Take `steps` steps with the kernel over columns [0, width), and at
+        each trim boundary remove the row's gain from columns [0, width],
+        an exact power of two."""
+        forward = self._kernel(self._values, self._back, width)
+        backward = self._kernel(self._back, self._values, width)
+        while steps > 0:
+            run = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD)
+            for _ in range(run // 2):
+                forward()
+                backward()
+            if run % 2:
+                forward()
+                self._values, self._back = self._back, self._values
+                forward, backward = backward, forward
+            self.time += run
+            steps -= run
+            if self.time % _TRIM_PERIOD == 0:
+                live = self._values[:, : width + 1]
+                np.multiply(live, self._TRIM_RENORM, live)  # `*=` on a slice copies it back
 
     def _cut_tail(self, floor: float) -> None:
         """Move the frontier back to the last half-line site where some
@@ -249,39 +262,6 @@ class TwoBufferWalk:
         block = min(steps, self._frontier // _BLOCK_SHARE, _BLOCK_MAX)
         block -= block % _TRIM_PERIOD
         return block if block >= _BLOCK_MIN else 0
-
-    def _advance_light_cone(self, steps: int) -> None:
-        """Advance `steps` (a multiple of `_TRIM_PERIOD`, with the frontier
-        m at least steps + 2) at once, from a trim boundary.
-
-        The bulk, half-line sites steps + 1 .. m + steps, is the old
-        half-line moved by `_free_steps` over FFT points past m + 2 * steps
-        + 1, so no site wraps around into another.  The strip writes sites
-        up to 2 * steps + 1 and reads site 2 * steps + 2 of the other buffer,
-        which holds stale values: after j steps they have spoiled sites past
-        2 * steps + 2 - j, so sites up to steps + 2 come out exact and the
-        bulk overwrites the rest.
-        """
-        n, m = self.topology.cycle_size, self._frontier
-        points = 1 << (m + 2 * steps + 1).bit_length()  # >= m + 2 * steps + 2
-        spectra = np.fft.rfft(self._values[:, n : n + m + 1], points)
-        floor = self._free_steps(spectra, steps)
-        bulk = np.fft.irfft(spectra, points)[:, steps + 1 : m + steps + 1]
-        del spectra  # before `reserve` may allocate
-        self.reserve(m + steps + 2)
-        width = n + 2 * steps + 2
-        strip = self._values[:, :width]
-        forward = self._kernel(self._values, self._back, width)
-        backward = self._kernel(self._back, self._values, width)
-        for _ in range(steps // _TRIM_PERIOD):
-            for _ in range(_TRIM_PERIOD // 2):
-                forward()
-                backward()
-            np.multiply(strip, self._TRIM_RENORM, strip)
-        self._values[:, n + steps + 1 : n + m + steps + 1] = bulk
-        self.time += steps
-        self._frontier = m + steps
-        self._cut_tail(floor)
 
 
 def _is_integer(value) -> bool:

@@ -15,9 +15,10 @@ each amplitude is within t * 2**-52 of its value in exact arithmetic.
 
 Once the frontier passes 2048 sites, the engine advances in light-cone
 blocks (see `_driver`): it steps the strip next to the junction and moves
-the rest of the half-line by the free walk's K-step symbol, applied by
-`_free_steps` between one rfft/irfft pair.  A block of K steps over L FFT
-points is within `_block_error(K, L)`,
+the rest of the half-line with `_free_steps`, which picks the number L of
+FFT points, L >= m + 2K + 2 for frontier m so that nothing wraps around,
+and applies the free walk's K-step symbol between one rfft/irfft pair.  A
+block of K steps over L FFT points is within `_block_error(K, L)`,
 
     eps(K, L) = (4 K + 7 log2(2 L) + 8) * 2**-52,
 
@@ -69,6 +70,39 @@ def _block_error(steps: int, points: int) -> float:
     return (4 * steps + 7 * points.bit_length() + 8) * 2.0**-52
 
 
+def _apply_free_symbol(spectra, steps):
+    """Move the half-line by `steps` (even) free Hadamard steps in place.
+
+    `spectra` holds the rfft, over L points, of the Down and Up rows.
+    At frequency k one step is M(k) = [[e^ik, e^ik], [e^-ik, -e^-ik]] / sqrt(2),
+    with trace tau = i sqrt(2) sin k and determinant -1, so M^2 = tau M + I
+    (Cayley-Hamilton) and M^K = a_K M + a_{K-1} I, where a_K =
+    (z1^K - z2^K) / (z1 - z2) over the eigenvalues z1 = e^iw, z2 = -e^-iw,
+    sin w = sin(k) / sqrt(2).  For even K that is
+        Down' = b Down + e (Down + Up),  Up' = b Up + conj(e) (Up - Down),
+    with b = cos((K-1) w) / cos w and e = i e^ik sin(K w) / (sqrt(2) cos w).
+    Its temporaries are freed on return, before the inverse transform.
+    """
+    points = 2 * (spectra.shape[1] - 1)
+    k = np.arange(spectra.shape[1]) * (2 * math.pi / points)
+    sin_k = np.sin(k[: points // 4 + 1])
+    sin_k = np.concatenate((sin_k, sin_k[-2::-1]))  # even about k = pi / 2
+    angle = steps * np.arcsin(sin_k / math.sqrt(2))  # K w
+    s = np.sin(angle) / np.sqrt(2 - sin_k * sin_k)  # sin(K w) / (sqrt(2) cos w)
+    e = np.empty(sin_k.size, complex)
+    np.multiply(-s, sin_k, e.real)
+    np.multiply(s, np.cos(k), e.imag)
+    # cos((K-1) w) / cos w = cos(K w) + sin(K w) tan w
+    b = np.cos(angle) - e.real
+    down, up = spectra
+    total, diff = down + up, up - down
+    for row, mixed in ((down, total), (up, diff)):
+        np.multiply(mixed, e, mixed)
+        np.multiply(row, b, row)
+        np.add(row, mixed, row)
+        np.conj(e, e)
+
+
 class WalkerState(_driver.TwoBufferWalk):
     """Real amplitudes of the quantum walker over (site, coin) basis states.
 
@@ -111,38 +145,20 @@ class WalkerState(_driver.TwoBufferWalk):
         return cycle, halfline
 
     @staticmethod
-    def _free_steps(spectra, steps):
-        """Move the half-line by `steps` (even) free Hadamard steps in place.
+    def _free_steps(rows, steps):
+        """Move the Down and Up `rows` of half-line sites 0..m by `steps`
+        free steps; return the moved rows at sites steps + 1 .. m + steps
+        and the block's round-off bound, `_block_error(steps, L)`.
 
-        `spectra` holds the rfft, over L points, of the Down and Up rows.
-        At frequency k one step is M(k) = [[e^ik, e^ik], [e^-ik, -e^-ik]] / sqrt(2),
-        with trace tau = i sqrt(2) sin k and determinant -1, so M^2 = tau M + I
-        (Cayley-Hamilton) and M^K = a_K M + a_{K-1} I, where a_K =
-        (z1^K - z2^K) / (z1 - z2) over the eigenvalues z1 = e^iw, z2 = -e^-iw,
-        sin w = sin(k) / sqrt(2).  For even K that is
-            Down' = b Down + e (Down + Up),  Up' = b Up + conj(e) (Up - Down),
-        with b = cos((K-1) w) / cos w and e = i e^ik sin(K w) / (sqrt(2) cos w).
-        Returns the block's round-off bound, `_block_error(steps, L)`.
+        Over L >= m + 2 * steps + 2 FFT points no site wraps around into
+        another.
         """
-        points = 2 * (spectra.shape[1] - 1)
-        k = np.arange(spectra.shape[1]) * (2 * math.pi / points)
-        sin_k = np.sin(k[: points // 4 + 1])
-        sin_k = np.concatenate((sin_k, sin_k[-2::-1]))  # even about k = pi / 2
-        angle = steps * np.arcsin(sin_k / math.sqrt(2))  # K w
-        s = np.sin(angle) / np.sqrt(2 - sin_k * sin_k)  # sin(K w) / (sqrt(2) cos w)
-        e = np.empty(sin_k.size, complex)
-        np.multiply(-s, sin_k, e.real)
-        np.multiply(s, np.cos(k), e.imag)
-        # cos((K-1) w) / cos w = cos(K w) + sin(K w) tan w
-        b = np.cos(angle) - e.real
-        down, up = spectra
-        total, diff = down + up, up - down
-        for row, mixed in ((down, total), (up, diff)):
-            np.multiply(mixed, e, mixed)
-            np.multiply(row, b, row)
-            np.add(row, mixed, row)
-            np.conj(e, e)
-        return _block_error(steps, points)
+        sites = rows.shape[1]
+        points = 1 << (sites + 2 * steps).bit_length()
+        spectra = np.fft.rfft(rows, points)
+        _apply_free_symbol(spectra, steps)
+        moved = np.fft.irfft(spectra, points)[:, steps + 1 : sites + steps]
+        return moved, _block_error(steps, points)
 
     def _kernel(self, values, new, width):
         n = self.topology.cycle_size

@@ -31,7 +31,7 @@ def test_point_distribution_at_junction_and_halfline(topo):
 
 def test_junction_splits_in_thirds(topo):
     dist = make_point_distribution(topo, CycleNode(0))
-    dist.step()
+    dist.advance(1)
     assert dist.probability(CycleNode(24)) == pytest.approx(1 / 3, abs=1e-15)
     assert dist.probability(CycleNode(1)) == pytest.approx(1 / 3, abs=1e-15)
     assert dist.probability(HalfLineNode(1)) == pytest.approx(1 / 3, abs=1e-15)
@@ -39,7 +39,7 @@ def test_junction_splits_in_thirds(topo):
 
 def test_cycle_site_splits_in_halves(topo):
     dist = make_point_distribution(topo, CycleNode(12))
-    dist.step()
+    dist.advance(1)
     assert dist.time == 1
     assert dist.probability(CycleNode(11)) == 0.5
     assert dist.probability(CycleNode(13)) == 0.5
@@ -48,22 +48,22 @@ def test_cycle_site_splits_in_halves(topo):
 
 def test_halfline_site_splits_in_halves(topo):
     dist = make_point_distribution(topo, HalfLineNode(3))
-    dist.step()
+    dist.advance(1)
     assert dist.probability(HalfLineNode(2)) == 0.5
     assert dist.probability(HalfLineNode(4)) == 0.5
 
 
 def test_halfline_site1_feeds_junction(topo):
     dist = make_point_distribution(topo, HalfLineNode(1))
-    dist.step()
+    dist.advance(1)
     assert dist.probability(CycleNode(0)) == 0.5
     assert dist.probability(HalfLineNode(2)) == 0.5
 
 
 def test_two_steps_from_cycle12(topo):
     dist = make_point_distribution(topo, CycleNode(12))
-    dist.step()
-    dist.step()
+    dist.advance(1)
+    dist.advance(1)
     want = {10: 0.25, 12: 0.5, 14: 0.25}
     pd = position_distribution(dist)
     for k in range(25):
@@ -73,7 +73,7 @@ def test_two_steps_from_cycle12(topo):
 def test_mass_conserved_and_non_negative(topo):
     dist = make_point_distribution(topo, CycleNode(12))
     for _ in range(2000):
-        dist.step()
+        dist.advance(1)
     assert abs(dist.total_mass() - 1.0) < 1e-12
     pd = position_distribution(dist)
     assert np.all(pd.cycle_probs >= 0.0)
@@ -84,7 +84,7 @@ def test_support_bound_is_exact(topo):
     dist = make_point_distribution(topo, CycleNode(12))
     steps = 41
     for _ in range(steps):
-        dist.step()
+        dist.advance(1)
     pd = position_distribution(dist)
     assert np.all(pd.halfline_probs[steps + 1 :] == 0.0)
 
@@ -93,7 +93,7 @@ def test_extent_growth(topo):
     dist = make_point_distribution(topo, CycleNode(0))
     assert dist.extent == 2
     for _ in range(100):
-        dist.step()
+        dist.advance(1)
     assert dist.extent >= dist.time + 1
 
 
@@ -102,8 +102,8 @@ def test_reserve_does_not_change_the_walk(topo):
     wide = make_point_distribution(topo, CycleNode(12))
     wide.reserve(300)
     for _ in range(30):
-        plain.step()
-        wide.step()
+        plain.advance(1)
+        wide.advance(1)
     for k in range(25):
         assert plain.probability(CycleNode(k)) == wide.probability(CycleNode(k))
     for x in range(1, 32):
@@ -144,8 +144,8 @@ def test_evolve_rejects_bad_snapshot_times(topo):
 def test_copy_is_detached(topo):
     dist = make_point_distribution(topo, CycleNode(12))
     for _ in range(7):
-        dist.step()
+        dist.advance(1)
     dup = dist.copy()
-    dist.step()
+    dist.advance(1)
     assert dup.time == 7
     assert abs(dup.total_mass() - 1.0) < 1e-14

@@ -43,7 +43,7 @@ def test_accessors_read_zero_past_the_buffer(topo):
     dist = make_point_distribution(topo, HalfLineNode(4))
     for walk in (state, dist):
         for _ in range(3):
-            walk.step()
+            walk.advance(1)
     for x in (state.extent + 1, state.extent + 100):
         assert state.amplitude(HalfLineNode(x), Coin.DOWN) == 0.0
         assert state.amplitude(HalfLineNode(x), Coin.UP) == 0.0

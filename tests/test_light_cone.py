@@ -42,19 +42,25 @@ def free_line_steps(down, up, steps):
 
 @pytest.mark.parametrize("steps", [64, 256, 1024])
 def test_free_line_symbol_matches_a_long_double_impulse(steps):
-    points = 4 * steps
-    centre = points // 2
-    rows = np.zeros((2, points))
+    # half-line sites 0..m; the impulse's fronts land on sites steps + 1 and
+    # 3 * steps + 1, inside the returned sites steps + 1 .. m + steps
+    m = 4 * steps
+    centre = 2 * steps + 1
+    rows = np.zeros((2, m + 1))
     rows[:, centre] = 0.6, 0.8  # unit norm
-    spectra = np.fft.rfft(rows)
-    floor = WalkerState._free_steps(spectra, steps)
-    got = np.fft.irfft(spectra, points)
-    want = free_line_steps(*rows.astype(np.longdouble), steps)
-    error = math.sqrt(sum(float(np.sum((g - w) ** 2)) for g, w in zip(got, want)))
+    moved, floor = WalkerState._free_steps(rows, steps)
+    padded = np.zeros((2, m + steps + 1))
+    padded[:, : m + 1] = rows
+    want = free_line_steps(*padded.astype(np.longdouble), steps)
+    want = [w[steps + 1 :] for w in want]
+    assert moved.shape == (2, m)
+    error = math.sqrt(sum(float(np.sum((g - w) ** 2)) for g, w in zip(moved, want)))
+    points = 1 << (m + 2 * steps + 1).bit_length()  # the least 2**j >= m + 2 * steps + 2
     assert floor == _block_error(steps, points)
     assert error <= floor
-    # the stepped impulse reaches exactly `steps` sites each way
-    assert want[0][centre - steps] != 0 and want[1][centre + steps] != 0
+    # the stepped impulse reaches exactly `steps` sites each way, to sites
+    # steps + 1 and 3 * steps + 1
+    assert want[0][0] != 0 and want[1][2 * steps] != 0
 
 
 def amplitudes(walk, sites):
@@ -138,6 +144,10 @@ def test_blocks_agree_with_chunked_steps_within_the_stated_bound(region, data):
         walk.advance(steps - split)
         advance_in_chunks(chunked, steps)
     assert budget  # blocks fired
+    for state in (walk, chunked):
+        past = state.topology.cycle_size + state._frontier + 2
+        for rows in (state._values, state._back):
+            assert not np.any(rows[:, past:]) and not np.any(np.signbit(rows[:, past:]))
     bound = stated_bound(steps, budget)
     sites = max(walk.extent, chunked.extent)
     mine, want = amplitudes(walk, sites), amplitudes(chunked, sites)

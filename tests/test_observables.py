@@ -25,7 +25,7 @@ def topo():
 
 def test_marginal_of_one_step_state(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
-    state.step()
+    state.advance(1)
     dist = position_distribution(state)
     assert dist.cycle_probs[11] == pytest.approx(0.5, abs=1e-15)
     assert dist.cycle_probs[13] == pytest.approx(0.5, abs=1e-15)
@@ -53,7 +53,7 @@ def test_junction_sums_three_coin_components(topo):
 
 def test_classical_marginal_is_pass_through(topo):
     dist0 = make_point_distribution(topo, CycleNode(0))
-    dist0.step()
+    dist0.advance(1)
     dist = position_distribution(dist0)
     assert dist.source == "classical"
     assert dist.cycle_probs[24] == pytest.approx(1 / 3, abs=1e-15)
@@ -119,7 +119,7 @@ def test_summarize_classical_junction_total(classical_junction):
 def test_marginalization_consistency(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     for _ in range(123):
-        state.step()
+        state.advance(1)
     dist = position_distribution(state)
     rec = summarize(dist)
     assert rec.cycle_total + rec.halfline_total == pytest.approx(
@@ -127,7 +127,7 @@ def test_marginalization_consistency(topo):
     )
     cdist = make_point_distribution(topo, CycleNode(12))
     for _ in range(123):
-        cdist.step()
+        cdist.advance(1)
     pd = position_distribution(cdist)
     rec = summarize(pd)
     assert rec.cycle_total + rec.halfline_total == pytest.approx(

@@ -242,7 +242,7 @@ def test_classical_engine_matches_dense_stochastic(region, data):
     dist = make_point_distribution(topo, site)
     for _ in range(steps):
         vec = op.entries @ vec
-        dist.step()
+        dist.advance(1)
     for s, p in zip(op.basis, vec):
         assert abs(dist.probability(s) - p) <= 1e-15
 
@@ -286,7 +286,7 @@ def test_quantum_engine_matches_dense_unitary_at_every_step_near_the_seam(n):
             state = make_basis_state(topo, site, coin)
             for _ in range(SEAM_STEPS):
                 vec = op.entries @ vec
-                state.step()
+                state.advance(1)
                 got = np.array([state.amplitude(s, c) for s, c in op.basis])
                 assert np.abs(got - vec).max() <= cli.MISMATCH_LIMIT
 
@@ -301,6 +301,6 @@ def test_classical_engine_matches_dense_stochastic_at_every_step_near_the_seam(n
         dist = make_point_distribution(topo, site)
         for _ in range(SEAM_STEPS):
             vec = op.entries @ vec
-            dist.step()
+            dist.advance(1)
             got = np.array([dist.probability(s) for s in op.basis])
             assert np.abs(got - vec).max() <= 1e-15

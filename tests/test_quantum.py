@@ -50,7 +50,7 @@ def test_basis_state_rejects_bad_coin(topo):
 
 def test_single_step_cycle_right(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
-    state.step()
+    state.advance(1)
     assert state.time == 1
     assert abs(amp(state, CycleNode(11), Coin.LEFT) - S) < 1e-15
     assert abs(amp(state, CycleNode(13), Coin.RIGHT) + S) < 1e-15
@@ -59,7 +59,7 @@ def test_single_step_cycle_right(topo):
 
 def test_single_step_junction_down(topo):
     state = make_basis_state(topo, CycleNode(0), Coin.DOWN)
-    state.step()
+    state.advance(1)
     assert abs(amp(state, CycleNode(24), Coin.LEFT) - 2 / 3) < 1e-15
     assert abs(amp(state, CycleNode(1), Coin.RIGHT) - 2 / 3) < 1e-15
     assert abs(amp(state, HalfLineNode(1), Coin.UP) + 1 / 3) < 1e-15
@@ -67,12 +67,12 @@ def test_single_step_junction_down(topo):
 
 def test_single_step_junction_left_and_right(topo):
     state = make_basis_state(topo, CycleNode(0), Coin.LEFT)
-    state.step()
+    state.advance(1)
     assert abs(amp(state, CycleNode(24), Coin.LEFT) + 1 / 3) < 1e-15
     assert abs(amp(state, CycleNode(1), Coin.RIGHT) - 2 / 3) < 1e-15
     assert abs(amp(state, HalfLineNode(1), Coin.UP) - 2 / 3) < 1e-15
     state = make_basis_state(topo, CycleNode(0), Coin.RIGHT)
-    state.step()
+    state.advance(1)
     assert abs(amp(state, CycleNode(24), Coin.LEFT) - 2 / 3) < 1e-15
     assert abs(amp(state, CycleNode(1), Coin.RIGHT) + 1 / 3) < 1e-15
     assert abs(amp(state, HalfLineNode(1), Coin.UP) - 2 / 3) < 1e-15
@@ -80,22 +80,22 @@ def test_single_step_junction_left_and_right(topo):
 
 def test_single_step_halfline_up(topo):
     state = make_basis_state(topo, HalfLineNode(5), Coin.UP)
-    state.step()
+    state.advance(1)
     assert abs(amp(state, HalfLineNode(4), Coin.DOWN) - S) < 1e-15
     assert abs(amp(state, HalfLineNode(6), Coin.UP) + S) < 1e-15
 
 
 def test_halfline_site1_feeds_junction_down(topo):
     state = make_basis_state(topo, HalfLineNode(1), Coin.DOWN)
-    state.step()
+    state.advance(1)
     assert abs(amp(state, CycleNode(0), Coin.DOWN) - S) < 1e-15
     assert abs(amp(state, HalfLineNode(2), Coin.UP) - S) < 1e-15
 
 
 def test_two_steps_from_cycle12(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
-    state.step()
-    state.step()
+    state.advance(1)
+    state.advance(1)
     expected = {
         (CycleNode(10), Coin.LEFT): 0.5,
         (CycleNode(12), Coin.LEFT): -0.5,
@@ -109,7 +109,7 @@ def test_two_steps_from_cycle12(topo):
 def test_norm_after_1000_steps(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     for _ in range(1000):
-        state.step()
+        state.advance(1)
     assert abs(state.norm() - 1.0) < 1e-12
 
 
@@ -137,7 +137,7 @@ def test_locality_of_one_step():
     }
     for (site, coin), (cycle_ok, ray_ok) in neighbors.items():
         state = make_basis_state(topo, site, coin)
-        state.step()
+        state.advance(1)
         cycle_sites, ray_sites = _support_sites(position_distribution(state))
         assert set(cycle_sites) <= cycle_ok
         assert set(ray_sites) <= ray_ok
@@ -147,7 +147,7 @@ def test_support_bound_is_exact(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     steps = 37
     for _ in range(steps):
-        state.step()
+        state.advance(1)
     dist = position_distribution(state)
     assert np.all(dist.halfline_probs[steps + 1 :] == 0.0)
     # and representable sites past the light cone are exact zeros
@@ -160,7 +160,7 @@ def test_extent_tracks_time(topo):
     state = make_basis_state(topo, CycleNode(0), Coin.DOWN)
     assert state.extent == 2
     for _ in range(200):
-        state.step()
+        state.advance(1)
     assert state.extent >= state.time + 1
 
 
@@ -168,7 +168,7 @@ def test_growth_is_geometric(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     extents = {state.extent}
     for _ in range(300):
-        state.step()
+        state.advance(1)
         extents.add(state.extent)
     sizes = sorted(extents)
     for small, big in zip(sizes, sizes[1:]):
@@ -180,8 +180,8 @@ def test_reserve_does_not_change_the_walk(topo):
     wide = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     wide.reserve(512)
     for _ in range(40):
-        plain.step()
-        wide.step()
+        plain.advance(1)
+        wide.advance(1)
     for k in range(25):
         for coin in topo.coins_at(CycleNode(k)):
             assert plain.amplitude(CycleNode(k), coin) == wide.amplitude(
@@ -197,7 +197,7 @@ def test_reserve_does_not_change_the_walk(topo):
 def test_halfline_launch_deep_site(topo):
     state = make_basis_state(topo, HalfLineNode(9), Coin.DOWN)
     assert state.norm() == 1.0
-    state.step()
+    state.advance(1)
     assert abs(amp(state, HalfLineNode(8), Coin.DOWN) - S) < 1e-15
     assert abs(amp(state, HalfLineNode(10), Coin.UP) - S) < 1e-15
 
@@ -247,19 +247,19 @@ def test_snapshots_are_independent_of_later_steps(topo):
     snaps = evolve_quantum(state, 30, [10])
     frozen = snaps[0][1].cycle_probs.copy()
     for _ in range(20):
-        state.step()
+        state.advance(1)
     assert np.array_equal(snaps[0][1].cycle_probs, frozen)
 
 
 def test_copy_is_detached(topo):
     state = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     for _ in range(9):
-        state.step()
+        state.advance(1)
     dup = state.copy()
-    state.step()  # must not disturb the copy
+    state.advance(1)  # must not disturb the copy
     fresh = make_basis_state(topo, CycleNode(12), Coin.RIGHT)
     for _ in range(9):
-        fresh.step()
+        fresh.advance(1)
     assert dup.time == 9
     for k in range(25):
         for coin in topo.coins_at(CycleNode(k)):

@@ -47,7 +47,7 @@ WALKS = {
 
 def advance(state, steps):
     for _ in range(steps):
-        state.step()
+        state.advance(1)
     return state
 
 
@@ -79,7 +79,7 @@ def test_ray_is_zero_past_frontier_in_both_buffers(topo, model):
     launch, start = WALKS[model]
     state = advance(launch(topo), start)
     for _ in range(3 * 64):
-        state.step()
+        state.advance(1)
         edge = topo.cycle_size + state._frontier + 2
         for buf in (state._values, state._back):
             assert not buf[:, edge:].any()
@@ -101,7 +101,7 @@ def test_trim_only_cuts_the_tail_and_within_its_budget(topo, model):
     for _ in range(4):
         advance(state, 63 - state.time % 64)
         cycle, ray, light_cone = untrimmed_step(state)
-        state.step()
+        state.advance(1)
         assert state.time % 64 == 0
         keep = state._frontier
         assert keep <= light_cone
@@ -163,7 +163,7 @@ def test_band_planted_at_gain_one_outlives_renormalization_and_is_cut(topo, mode
     # past the walker's reach (edge + 64) only band residue is left
     assert np.any(ray[:, edge + 65 : light_cone + 1])
     assert np.all(np.abs(ray[:, edge + 65 :]) < TINY)
-    state.step()
+    state.advance(1)
     keep = state._frontier
     assert keep <= edge + 64
     for buf in (state._values, state._back):
