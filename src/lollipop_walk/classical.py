@@ -26,6 +26,8 @@ class ClassicalDistribution(_driver.TwoBufferWalk):
     _COMPONENTS = 1
     SOURCE = "classical"
     _TRIM_RENORM = 2.0**-_driver._TRIM_PERIOD  # a step gains 2 (no halving)
+    # far below any mass a reader sees (the writers print none under 1e-15)
+    _CUT_FLOOR = 1e-60
 
     @staticmethod
     def _slot(topology, site, coin):

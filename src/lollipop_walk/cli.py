@@ -113,7 +113,7 @@ REFERENCE_RUNS = (
 
 
 def compute_tables_report() -> dict[str, dict[int, SummaryRecord]]:
-    """Run both 25-node benchmarks (about 3 seconds) and summarize them.
+    """Run both 25-node benchmarks (a second or two) and summarize them.
 
     Returns `{model: {time: SummaryRecord}}` at each of BENCHMARK_TIMES, the
     records `format_tables_report` diffs against the reference values.  A
@@ -231,7 +231,7 @@ def _build_parser() -> _Parser:
     tables_p = sub.add_parser(
         "tables",
         help="re-run the two long benchmarks and diff against reference values "
-        "(about 3 seconds)",
+        "(a second or two)",
     )
     tables_p.add_argument(
         "--tolerance",

@@ -13,12 +13,15 @@ Storage, half-line growth and the step loop are the shared two-buffer
 engine in `_driver`.  A step rounds each value about once: after t steps
 each amplitude is within t * 2**-52 of its value in exact arithmetic.
 
-Once the frontier passes 2048 sites, the engine advances in light-cone
-blocks (see `_driver`): it steps the strip next to the junction and moves
-the rest of the half-line with `_free_steps`, which picks the number L of
-FFT points, L >= m + 2K + 2 for frontier m so that nothing wraps around,
-and applies the free walk's K-step symbol between one rfft/irfft pair.  A
-block of K steps over L FFT points is within `_block_error(K, L)`,
+From a frontier of 129 sites (2048 on a cycle of more than
+`_STRIP_MAP_MAX_CYCLE` nodes) the engine advances in light-cone blocks
+(see `_driver`): it advances the strip next to the junction as a truncated
+walk of its own, which takes blocks too, and moves the rest of the
+half-line with `_free_steps`, which picks the number L of FFT points,
+L >= m + 2K + 2 for frontier m so that nothing wraps around, and applies
+the free walk's K-step symbol between one rfft/irfft pair.  A 64-step
+strip is one product with `_build_strip_map`'s matrix.  A block of K steps
+over L FFT points is within `_block_error(K, L)`,
 
     eps(K, L) = (4 K + 7 log2(2 L) + 8) * 2**-52,
 
@@ -38,17 +41,22 @@ in 2-norm (so in every amplitude) of exact arithmetic, from three parts:
   per cut site, and a cut that discards probability P moves the state by
   sqrt(P).
 
-So after t steps each amplitude is within t * 2**-52 plus, over the blocks
-taken, the sum of eps(K, L) + sqrt(P).  Against an impulse stepped in long
-double one block errs by 4.2e-15, 1.7e-14 and 7.3e-14 at K = 64, 256 and
-1024, about K / 3 units, and 100 000 steps from cycle:12:R on 25 nodes
-stay within 1.8e-14 of single steps in every probability.  A block's last
-bits depend on numpy's FFT and sin/cos, so they may differ between numpy
-builds and CPUs, within the bound.
+A strip map product errs by at most its own bound beta(n) (see
+`_build_strip_map`; 5.5e-13 at n = 25).  Errors made at any depth of
+strips move on under steps that do not grow the 2-norm, so after t steps
+the state is within t * 2**-52 plus, over the blocks taken at every depth,
+the sum of eps(K, L) + sqrt(P), plus beta(n) per strip map product, of
+exact arithmetic in 2-norm.  Against an impulse stepped in long double one
+block errs by 4.2e-15, 1.7e-14 and 7.3e-14 at K = 64, 256 and 1024, about
+K / 3 units, and 100 000 steps from cycle:12:R on 25 nodes stay within
+5.2e-14 of single steps in every probability.  A block's last bits depend
+on numpy's FFT, sin/cos and matrix product, so they may differ between
+numpy builds and CPUs, within the bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -70,6 +78,29 @@ def _block_error(steps: int, points: int) -> float:
     return (4 * steps + 7 * points.bit_length() + 8) * 2.0**-52
 
 
+def _free_symbol(steps, points):
+    """(b, e) of `_apply_free_symbol` for `steps` steps over `points` FFT
+    points, at the rfft's frequencies k."""
+    k = np.arange(points // 2 + 1) * (2 * math.pi / points)
+    sin_k = np.sin(k[: points // 4 + 1])
+    sin_k = np.concatenate((sin_k, sin_k[-2::-1]))  # even about k = pi / 2
+    angle = steps * np.arcsin(sin_k / math.sqrt(2))  # K w
+    s = np.sin(angle) / np.sqrt(2 - sin_k * sin_k)  # sin(K w) / (sqrt(2) cos w)
+    e = np.empty(sin_k.size, complex)
+    np.multiply(-s, sin_k, e.real)
+    np.multiply(s, np.cos(k), e.imag)
+    # cos((K-1) w) / cos w = cos(K w) + sin(K w) tan w
+    return np.cos(angle) - e.real, e
+
+
+# Small blocks repeat the same (K, L) thousands of times, so their symbols
+# are kept: at most L / 128 values of K for each power of two L up to this,
+# about 2 MB in all.  Larger symbols are rare and would hold the memory of
+# the largest block's transform.
+_SYMBOL_CACHE_POINTS = 4096
+_cached_symbol = functools.lru_cache(maxsize=None)(_free_symbol)
+
+
 def _apply_free_symbol(spectra, steps):
     """Move the half-line by `steps` (even) free Hadamard steps in place.
 
@@ -84,23 +115,60 @@ def _apply_free_symbol(spectra, steps):
     Its temporaries are freed on return, before the inverse transform.
     """
     points = 2 * (spectra.shape[1] - 1)
-    k = np.arange(spectra.shape[1]) * (2 * math.pi / points)
-    sin_k = np.sin(k[: points // 4 + 1])
-    sin_k = np.concatenate((sin_k, sin_k[-2::-1]))  # even about k = pi / 2
-    angle = steps * np.arcsin(sin_k / math.sqrt(2))  # K w
-    s = np.sin(angle) / np.sqrt(2 - sin_k * sin_k)  # sin(K w) / (sqrt(2) cos w)
-    e = np.empty(sin_k.size, complex)
-    np.multiply(-s, sin_k, e.real)
-    np.multiply(s, np.cos(k), e.imag)
-    # cos((K-1) w) / cos w = cos(K w) + sin(K w) tan w
-    b = np.cos(angle) - e.real
+    symbol = _cached_symbol if points <= _SYMBOL_CACHE_POINTS else _free_symbol
+    b, e = symbol(steps, points)
     down, up = spectra
     total, diff = down + up, up - down
     for row, mixed in ((down, total), (up, diff)):
         np.multiply(mixed, e, mixed)
         np.multiply(row, b, row)
         np.add(row, mixed, row)
-        np.conj(e, e)
+        np.conj(e, e)  # twice in all, which restores a cached e exactly
+
+
+# The strip map has (2n + 130) (2n + 258) entries on an n-node cycle, so it
+# is built only up to this size: at most 198 404 entries (1.6 MB), four
+# cycle sizes at a time.  On a 2-vCPU Xeon host a product took 12 us at
+# n = 25 and 53 us at n = 150, against about 105 us for the 64 kernel
+# calls it replaces, and broke even near n = 200.
+_STRIP_MAP_MAX_CYCLE = 128
+
+
+@functools.lru_cache(maxsize=4)
+def _build_strip_map(cycle_size):
+    """The linear map of one _TRIM_PERIOD-step strip (see `_driver`) on an
+    n-node cycle, with its round-off bound.
+
+    Its input is columns [0, n + 2K + 1) of both rows at gain 1, K =
+    _TRIM_PERIOD, and its output the columns [0, n + K + 1) K steps on,
+    flattened row by row: the cycle and half-line sites 0..K read only
+    sites up to 2K.  Each column is a basis vector stepped through
+    `_step_columns`, so it is within K 2**-52 of exact arithmetic in
+    2-norm, and ||(map - exact) x|| <= K 2**-52 ||x||_1 <= K 2**-52
+    sqrt(c) for a state x of norm at most 1 over c input values.  The
+    product rounds output i by at most gamma_c sum_j |map_ij| |x_j|
+    (Higham, Theorem 3.5, gamma_c = c u / (1 - c u), u = 2**-53), and
+    ||(|map| |x|)|| <= sqrt(R C) ||x|| for the largest absolute row sum R
+    and column sum C (Schur's test).  The bound is the sum of the two.
+    """
+    steps = _driver._TRIM_PERIOD
+    n = cycle_size
+    inputs, outputs = n + 2 * steps + 1, n + steps + 1
+    walk = WalkerState(LollipopTopology(n), 2 * steps + 1)
+    matrix = np.empty((2, outputs, 2, inputs))
+    for row in range(2):
+        for column in range(inputs):
+            walk._values[:] = 0.0
+            walk._values[row, column] = 1.0
+            walk._step_columns(inputs, steps)
+            matrix[:, :, row, column] = walk._values[:, :outputs]
+    matrix = matrix.reshape(2 * outputs, 2 * inputs)
+    size = matrix.shape[1]
+    magnitude = np.abs(matrix)
+    gamma = size * 2.0**-53 / (1 - size * 2.0**-53)
+    rows_by_columns = float(magnitude.sum(axis=1).max() * magnitude.sum(axis=0).max())
+    bound = steps * 2.0**-52 * math.sqrt(size) + gamma * math.sqrt(rows_by_columns)
+    return matrix, bound
 
 
 class WalkerState(_driver.TwoBufferWalk):
@@ -159,6 +227,10 @@ class WalkerState(_driver.TwoBufferWalk):
         _apply_free_symbol(spectra, steps)
         moved = np.fft.irfft(spectra, points)[:, steps + 1 : sites + steps]
         return moved, _block_error(steps, points)
+
+    def _strip_map(self):
+        n = self.topology.cycle_size
+        return _build_strip_map(n) if n <= _STRIP_MAP_MAX_CYCLE else None
 
     def _kernel(self, values, new, width):
         n = self.topology.cycle_size

@@ -1,0 +1,62 @@
+"""10**6 quantum steps from cycle:12:R on the 25-node cycle, ten times what
+the test suite steps: the regime where light-cone blocks grow past every
+size the suite reaches and their strips recurse several levels deep.
+
+Checks that the norm stays within the nested bound `quantum` states, over
+the blocks and strip products this walk took, and that the tracemalloc
+peak stays under the figure `_driver` documents at MAX_HALFLINE_SITES:
+32 B per buffer column and 64 B per FFT point of the largest block.  Runs
+in about 15 s (tracemalloc slows it down about twofold), so it is not part
+of the suite:
+
+    PYTHONPATH=src:tests python tests/long_walk.py
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+import tracemalloc
+
+import pytest
+
+from lollipop_walk import Coin, CycleNode, LollipopTopology, WalkerState, make_basis_state
+from test_light_cone import record_blocks
+
+STEPS = 10**6
+
+
+def main() -> int:
+    walk = make_basis_state(LollipopTopology(25), CycleNode(12), Coin.RIGHT)
+    free_steps = WalkerState._free_steps
+    points = []
+
+    def recording_free_steps(rows, steps):
+        points.append(1 << (rows.shape[1] + 2 * steps).bit_length())
+        return free_steps(rows, steps)
+
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.MonkeyPatch.context() as patch:
+        budget = record_blocks(patch)
+        patch.setattr(WalkerState, "_free_steps", staticmethod(recording_free_steps))
+        walk.advance(STEPS)
+    seconds = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+
+    # against exact arithmetic, whose norm is 1, plus the norm's own
+    # summation rounding
+    bound = STEPS * 2.0**-52 + sum(budget) + walk._values.size * 2.0**-53
+    drift = abs(walk.norm() - 1.0)
+    limit = 32 * walk._values.shape[1] + 64 * max(points)
+    print(f"{STEPS} steps in {seconds:.1f} s under tracemalloc: "
+          f"{len(points)} blocks, strips {budget.depth} deep, "
+          f"frontier {walk._frontier}, largest block {max(points)} FFT points")
+    print(f"|norm - 1| = {drift:.3e}, stated bound {bound:.3e}")
+    print(f"tracemalloc peak {peak / 2**20:.1f} MB, documented limit {limit / 2**20:.1f} MB")
+    return 0 if drift <= bound and peak <= limit and budget.depth >= 3 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from lollipop_walk import (
     CycleNode,
     HalfLineNode,
     LollipopTopology,
+    WalkerState,
     evolve_classical,
     evolve_quantum,
     make_basis_state,
@@ -246,27 +247,32 @@ def chunked_launches(draw, model, region):
 @given(data=st.data())
 def test_advance_in_chunks_equals_single_steps_bit_for_bit(model, region, data):
     walk, start, chunks = data.draw(chunked_launches(model, region))
-    walk.advance(start)
-    chunked, single = walk.copy(), walk.copy()
-    extents, trims = {single.extent}, 0
-    for count in chunks:
-        chunked.advance(count)
-        for _ in range(count):
-            single.advance(1)
-            extents.add(single.extent)
-            trims += single.time % 64 == 0
-        assert chunked.time == single.time
-        assert chunked._frontier == single._frontier
-        assert chunked.extent == single.extent
-        # the raw bytes, so signed zeros count
-        assert chunked._values.tobytes() == single._values.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        # light-cone blocks, which chunks of 64 steps and more can take,
+        # round otherwise (test_light_cone.py bounds them)
+        patch.setattr(WalkerState, "_free_steps", None)
+        walk.advance(start)
+        chunked, single = walk.copy(), walk.copy()
+        extents, trims = {single.extent}, 0
+        for count in chunks:
+            chunked.advance(count)
+            for _ in range(count):
+                single.advance(1)
+                extents.add(single.extent)
+                trims += single.time % 64 == 0
+            assert chunked.time == single.time
+            assert chunked._frontier == single._frontier
+            assert chunked.extent == single.extent
+            # the raw bytes, so signed zeros count
+            assert chunked._values.tobytes() == single._values.tobytes()
     assert trims >= 2
     assert start or len(extents) >= 3  # two growths at least
 
 
 # --- the classical walk against a plain copy of its half-split rule ---------
 
-TINY = np.finfo(np.float64).tiny
+# the classical walk's documented cut floor
+CUT_FLOOR = 1e-60
 # below this the engine's one rounding at the trim and the reference's
 # rounding at each halving may differ
 EQUAL_ABOVE = 1e-300
@@ -274,9 +280,10 @@ EQUAL_ABOVE = 1e-300
 
 class HalfSplitReference:
     """The classical rule with a halving pass: halve every mass, then gather
-    it at the neighbours, the junction sending a third each way; trim the
-    half-line tail every 64 steps.  Plain float64, no gain, one step at a
-    time, with the engine's buffer growth so that extents can be compared."""
+    it at the neighbours, the junction sending a third each way; every 64
+    steps cut the half-line tail past the last site holding CUT_FLOOR or
+    more.  Plain float64, no gain, one step at a time, with the engine's
+    buffer growth so that extents can be compared."""
 
     def __init__(self, dist):
         snap = position_distribution(dist)
@@ -312,7 +319,7 @@ class HalfSplitReference:
         self.frontier += 1
         self.time += 1
         if self.time % 64 == 0:
-            live = np.flatnonzero(self.ray[: self.frontier + 1] >= TINY)
+            live = np.flatnonzero(self.ray[: self.frontier + 1] >= CUT_FLOOR)
             self.frontier = int(live[-1]) if live.size else 0
             self.ray[self.frontier + 1 :] = 0.0
 

@@ -1,8 +1,9 @@
 """Light-cone blocks of the quantum walk: the free line's closed-form K-step
-symbol against an impulse stepped in long double, block advancing against
-64-step chunks (which never form a block) within the bound `quantum`
-states, and the long benchmark fixture and a long `run` against chunked
-stepping."""
+symbol against an impulse stepped in long double, the 64-step strip map
+against stepping, block advancing (recursive, with and without the strip
+map) against block-free stepping within the nested bound `quantum` states,
+the size limits of the symbol and strip-map caches, and the long benchmark
+fixture and a long `run` against block-free stepping."""
 
 import csv
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lollipop_walk import _driver, cli
+from lollipop_walk import _driver, cli, quantum
 from lollipop_walk import (
     Coin,
     CycleNode,
@@ -25,8 +26,8 @@ from lollipop_walk import (
 from lollipop_walk.output import PRINT_FLOOR
 from lollipop_walk.quantum import _block_error
 
-TINY = np.finfo(np.float64).tiny
-CHUNK = 64  # below every block size, so chunked stepping takes no block
+CHUNK = 64  # the trim period: chunked stepping takes blocks unless they are off
+BASE = _driver._TRIM_PERIOD  # steps of a strip the strip map takes in one product
 
 def free_line_steps(down, up, steps):
     """`steps` steps of the free Hadamard walk on a plain row, in long
@@ -84,25 +85,48 @@ def max_probability_change(p, q):
 
 
 def advance_in_chunks(walk, steps):
+    """Advance `walk` by `steps` in CHUNK-step calls, with light-cone blocks
+    off: the block-free reference, the same bits as single steps."""
     end = walk.time + steps
-    while walk.time < end:
-        walk.advance(min(CHUNK, end - walk.time))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WalkerState, "_free_steps", None)
+        while walk.time < end:
+            walk.advance(min(CHUNK, end - walk.time))
+
+
+class Budget(list):
+    """Shares of the stated bound, with the depth of strips reached."""
+
+    level = depth = 0
 
 
 def record_blocks(patch):
-    """Make every light-cone block append its share of the stated bound,
-    eps(K, L) + sqrt(probability its cut discarded), to the returned list."""
-    budget = []
+    """Make every light-cone block, at every depth of strips, append its
+    share of the stated bound to the returned list: eps(K, L) + sqrt(what
+    its cut discarded), and the strip map's bound for a strip taken in one
+    product.  The list's `depth` attribute ends as the deepest strip."""
+    budget = Budget()
     cut = _driver.TwoBufferWalk._cut_tail
+    strip = _driver.TwoBufferWalk._advance_strip
 
     def recording_cut(state, floor):
         n, m = state.topology.cycle_size, state._frontier
         before = state._values[:, n : n + m + 1].copy()
         cut(state, floor)
-        if floor > TINY:  # a block's cut, at gain 1
+        if floor > state._CUT_FLOOR:  # a block's cut, at gain 1
             budget.append(floor + math.sqrt(np.sum(before[:, state._frontier + 1 :] ** 2)))
 
+    def recording_strip(state, steps):
+        product = state._strip_map() if steps == BASE else None
+        if product is not None:
+            budget.append(product[1])
+        budget.level += 1
+        budget.depth = max(budget.depth, budget.level)
+        strip(state, steps)
+        budget.level -= 1
+
     patch.setattr(_driver.TwoBufferWalk, "_cut_tail", recording_cut)
+    patch.setattr(_driver.TwoBufferWalk, "_advance_strip", recording_strip)
     return budget
 
 
@@ -126,24 +150,21 @@ def launches(draw, region):
     return make_basis_state(topo, site, coin)
 
 
-@pytest.mark.parametrize("region", ["cycle", "junction", "half"])
-@settings(max_examples=12, deadline=None)
-@given(data=st.data())
-def test_blocks_agree_with_chunked_steps_within_the_stated_bound(region, data):
+def blocks_within_the_stated_bound(data, region, **constants):
+    """Advance a drawn launch with the engine's block constants set to
+    `constants` and check it against block-free chunks within the nested
+    bound; return the record of the blocks taken."""
     walk = data.draw(launches(region))
-    steps = data.draw(st.integers(1200, 2600))
+    steps = data.draw(st.integers(1600, 2600))
     split = data.draw(st.integers(0, steps))
     chunked = walk.copy()
+    advance_in_chunks(chunked, steps)
     with pytest.MonkeyPatch.context() as patch:
-        # blocks of 128..256 steps from frontier 512 on
-        patch.setattr(_driver, "_BLOCK_MIN", 2 * CHUNK)
-        patch.setattr(_driver, "_BLOCK_SHARE", 4)
-        patch.setattr(_driver, "_BLOCK_MAX", 4 * CHUNK)
+        for name, value in constants.items():
+            patch.setattr(_driver, name, value)
         budget = record_blocks(patch)
         walk.advance(split)
         walk.advance(steps - split)
-        advance_in_chunks(chunked, steps)
-    assert budget  # blocks fired
     for state in (walk, chunked):
         past = state.topology.cycle_size + state._frontier + 2
         for rows in (state._values, state._back):
@@ -159,6 +180,89 @@ def test_blocks_agree_with_chunked_steps_within_the_stated_bound(region, data):
     # each norm's own summation rounds by at most its length times 2**-53
     summation = mine.size * 2.0**-53
     assert abs(walk.norm() - chunked.norm()) <= bound + 2 * summation
+    return budget
+
+
+@pytest.mark.parametrize("region", ["cycle", "junction", "half"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_blocks_agree_with_chunked_steps_within_the_stated_bound(region, data):
+    # blocks of K = m / 4 at frontier m: a block's strip of 2K + 2 sites
+    # takes blocks of its own from K = 128, down to one-product strips
+    budget = blocks_within_the_stated_bound(data, region, _BLOCK_SHARE=4)
+    assert budget.depth >= 2
+
+
+@pytest.mark.parametrize("region", ["cycle", "junction", "half"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_stepped_strips_agree_with_chunked_steps_within_the_stated_bound(
+    region, data
+):
+    # a cycle past the strip map's size limit steps its strips; blocks of
+    # K = m / 3 from K = 128, so a strip takes blocks of its own from
+    # K = 192 (frontier 576)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WalkerState, "_strip_map", lambda state: None)
+        budget = blocks_within_the_stated_bound(
+            data, region, _BLOCK_SHARE=3, _BLOCK_MIN=2 * CHUNK
+        )
+    assert budget.depth >= 2
+
+
+@pytest.mark.parametrize("n", [3, 25])
+def test_strip_map_agrees_with_stepping_within_its_bound(n):
+    matrix, bound = quantum._build_strip_map(n)
+    inputs, outputs = n + 2 * BASE + 1, n + BASE + 1
+    assert matrix.shape == (2 * outputs, 2 * inputs)
+    walk = WalkerState(LollipopTopology(n), 3 * BASE)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2, inputs))
+    x[1, n] = 0.0  # the junction's Down coin has no Up partner
+    walk._values[:, :inputs] = x / np.linalg.norm(x)  # unit norm, gain 1
+    product = (matrix @ walk._values[:, :inputs].ravel()).reshape(2, outputs)
+    walk._step_columns(walk._values.shape[1] - 1, BASE)
+    stepped = walk._values[:, :outputs]
+    # the product within `bound` of exact arithmetic, stepping within
+    # BASE 2**-52
+    assert math.sqrt(np.sum((product - stepped) ** 2)) <= bound + BASE * 2.0**-52
+    assert bound < 1e-11
+
+
+def test_no_strip_map_past_its_cycle_size_limit(monkeypatch):
+    def refuse(cycle_size):
+        raise AssertionError("built a strip map past the size limit")
+
+    monkeypatch.setattr(quantum, "_build_strip_map", refuse)
+    n = quantum._STRIP_MAP_MAX_CYCLE + 1
+    walk = make_basis_state(LollipopTopology(n), CycleNode(0), Coin.DOWN)
+    reference = walk.copy()
+    walk.advance(600)
+    advance_in_chunks(reference, 600)
+    assert walk._frontier > 2 * BASE + 1  # past the least frontier of a map block
+    # below frontier 8 * _BLOCK_MIN, so no block at all: the same bits
+    assert walk._values.tobytes() == reference._values.tobytes()
+
+
+def test_blocks_off_takes_no_strip_map_and_no_strip(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block ran with blocks off")
+
+    monkeypatch.setattr(WalkerState, "_free_steps", None)
+    monkeypatch.setattr(quantum, "_build_strip_map", refuse)
+    monkeypatch.setattr(_driver.TwoBufferWalk, "_advance_strip", refuse)
+    walk = make_basis_state(LollipopTopology(5), CycleNode(2), Coin.LEFT)
+    walk.advance(3000)
+    assert walk.time == 3000 and walk._frontier > 2048
+
+
+def test_only_small_symbols_are_cached():
+    quantum._cached_symbol.cache_clear()
+    # 128 steps from 1001 sites take 2048 FFT points, from 4000 sites 8192
+    for sites in (1001, 1001, 4000):
+        WalkerState._free_steps(np.zeros((2, sites)), 128)
+    info = quantum._cached_symbol.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
 
 def test_long_fixture_agrees_with_chunked_steps(topology25, quantum_cycle12):

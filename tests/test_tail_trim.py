@@ -1,10 +1,12 @@
 """The half-line tail trim of the shared two-buffer engine.
 
-Every few dozen steps the engine moves its frontier back to the last
-half-line site holding a normal double and zeroes the tail past it.  These
-tests check that rule from outside: against the step rule applied with no
-trim, against a hand-zeroed copy, and against an exact (rational) sum of
-what the trim throws away.
+Every 64 steps the engine moves its frontier back to the last half-line
+site holding a value at least its cut floor (the smallest normal double
+for the quantum walk, 1e-60 for the classical walk) and zeroes the tail
+past it.  These tests check that rule from outside: against the step rule
+applied with no trim, against a hand-zeroed copy, against an exact
+(rational) sum of what the trim throws away, and against an untrimmed
+walk.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from lollipop_walk import (
+    ClassicalDistribution,
     Coin,
     CycleNode,
     LollipopTopology,
@@ -23,6 +26,8 @@ from lollipop_walk import (
 )
 
 TINY = np.finfo(np.float64).tiny
+# the documented cut floor of each walk
+FLOOR = {"quantum": TINY, "classical": 1e-60}
 
 
 @pytest.fixture
@@ -90,10 +95,11 @@ def test_ray_is_zero_past_frontier_in_both_buffers(topo, model):
 def test_trim_only_cuts_the_tail_and_within_its_budget(topo, model):
     launch, start = WALKS[model]
     state = advance(launch(topo), start)
-    # per trimmed site: below tiny in each of its components, squared for
-    # quantum probability
+    # per trimmed site: below the floor in each of its components, squared
+    # for quantum probability
+    floor = FLOOR[model]
     per_site = len(state._values) * (
-        Fraction(TINY) ** 2 if model == "quantum" else Fraction(TINY)
+        Fraction(floor) ** 2 if model == "quantum" else Fraction(floor)
     )
     n = topo.cycle_size
     trimmed_total = 0
@@ -110,15 +116,56 @@ def test_trim_only_cuts_the_tail_and_within_its_budget(topo, model):
         for mine, ref in zip(state._values[:, n:], ray):
             assert np.array_equal(mine[: keep + 1], ref[: keep + 1])
             assert not mine[keep + 1 :].any()
-            assert np.all(np.abs(ref[keep + 1 : light_cone + 1]) < TINY)
+            assert np.all(np.abs(ref[keep + 1 : light_cone + 1]) < floor)
             lost += discarded(model, ref[keep + 1 : light_cone + 1])
-        assert any(abs(ref[keep]) >= TINY for ref in ray) or keep == 0
+        assert any(abs(ref[keep]) >= floor for ref in ray) or keep == 0
         assert lost <= (light_cone - keep) * per_site
         trimmed_total += light_cone - keep
         lost_total += lost
     assert trimmed_total > 0
-    if model == "quantum":
-        assert lost_total > 0  # the trimmed band held real subnormals
+    assert lost_total > 0  # the trimmed band held real values
+
+
+def test_classical_trims_bound_every_later_mass(topo):
+    """Each classical trim discards less than 1e-60 mass per cut site, and
+    since a step does not grow the 1-norm, the masses stay within the sum
+    discarded so far of those of the same walk never trimmed."""
+    trimmed = classical_from_junction(topo)
+    untrimmed = trimmed.copy()
+    floor = FLOOR["classical"]
+    cuts = []
+    cut_tail = ClassicalDistribution._cut_tail
+
+    def recording_cut(state, cut_floor):
+        n, m = state.topology.cycle_size, state._frontier
+        tail = state._values[0, n : n + m + 1].copy()  # at gain 1
+        cut_tail(state, cut_floor)
+        cut = tail[state._frontier + 1 :]
+        assert cut_floor == floor
+        assert np.all(cut < floor)
+        cuts.append((sum(map(Fraction, cut)), cut.size))
+
+    checked = 0
+    for t in (640, 1280, 2560, 4096):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ClassicalDistribution, "_cut_tail", recording_cut)
+            trimmed.advance(t - trimmed.time)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ClassicalDistribution, "_CUT_FLOOR", 0.0)  # cuts nothing
+            untrimmed.advance(t - untrimmed.time)
+        assert all(lost < sites * Fraction(floor) for lost, sites in cuts if sites)
+        discarded_so_far = sum(lost for lost, _ in cuts)
+        mine, want = trimmed._site_probabilities(), untrimmed._site_probabilities()
+        off = sum(Fraction(float(v)) for v in np.abs(mine[0] - want[0]))
+        width = mine[1].size
+        off += sum(Fraction(float(v)) for v in np.abs(mine[1] - want[1][:width]))
+        off += sum(Fraction(float(v)) for v in want[1][width:])
+        # the two walks' own roundings part only beside the cut, by units in
+        # the last place of masses there, far under what was cut
+        assert off <= discarded_so_far * (1 + Fraction(1, 10**6))
+        checked += discarded_so_far > 0
+    assert trimmed._frontier < untrimmed._frontier
+    assert checked >= 2  # the trims cut real mass
 
 
 @pytest.mark.parametrize("model", WALKS)
