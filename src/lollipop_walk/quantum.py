@@ -119,11 +119,15 @@ def _apply_free_symbol(spectra, steps):
     b, e = symbol(steps, points)
     down, up = spectra
     total, diff = down + up, up - down
+    np.multiply(total, e, total)
+    # conj(e) x = conj(e conj(x)): a cached e is shared, so only the
+    # temporary is conjugated
+    np.conj(diff, diff)
+    np.multiply(diff, e, diff)
+    np.conj(diff, diff)
     for row, mixed in ((down, total), (up, diff)):
-        np.multiply(mixed, e, mixed)
         np.multiply(row, b, row)
         np.add(row, mixed, row)
-        np.conj(e, e)  # twice in all, which restores a cached e exactly
 
 
 # The strip map has (2n + 130) (2n + 258) entries on an n-node cycle, so it

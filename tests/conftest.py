@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The four long 25-node benchmark runs are session-scoped so the whole suite
-pays for them once (their setup takes 3 to 4.5 s in all on a 2-vCPU
+pays for them once (their setup takes about 2.2 s in all on a 2-vCPU
 machine, by `pytest --durations`).
 """
 

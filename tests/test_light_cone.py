@@ -263,6 +263,9 @@ def test_only_small_symbols_are_cached():
         WalkerState._free_steps(np.zeros((2, sites)), 128)
     info = quantum._cached_symbol.cache_info()
     assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+    # the blocks left the shared symbol as they found it
+    for kept, fresh in zip(quantum._cached_symbol(128, 2048), quantum._free_symbol(128, 2048)):
+        assert np.array_equal(kept, fresh)
 
 
 def test_long_fixture_agrees_with_chunked_steps(topology25, quantum_cycle12):
