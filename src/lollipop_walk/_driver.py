@@ -92,7 +92,7 @@ _TINY = np.finfo(np.float64).tiny
 # power of two above about 1.25 m, and adds at most 64 B per point for its
 # transforms and its strip's walks: about 1.1 GB for the 2**24 points it
 # may need here.  With tracemalloc, 10**6 steps from cycle:12:R (n = 25)
-# peaked at 77 MB: 32 MB of buffers (extent 2**20) and about 43 B per
+# peaked at 77 MB: 32 MB of buffers (extent 2**20) and about 45 B per
 # point for the last blocks' 2**20 points.
 MAX_HALFLINE_SITES = 10**7
 # A light-cone block takes min(steps left, frontier // _BLOCK_SHARE) steps

@@ -93,10 +93,12 @@ def _free_symbol(steps, points):
     return np.cos(angle) - e.real, e
 
 
-# Small blocks repeat the same (K, L) thousands of times, so their symbols
-# are kept: at most L / 128 values of K for each power of two L up to this,
-# about 2 MB in all.  Larger symbols are rare and would hold the memory of
-# the largest block's transform.
+# Small blocks repeat the same (K, L) many times, so their symbols are
+# kept: 300 000 steps from cycle:12:R (n = 25) took 5 939 of their 6 496
+# symbols from its 9 entries, and 548 had more points and were computed in
+# their block.  It holds at most L / 128 values of K for each power of two
+# L up to this, about 2 MB in all; keeping larger symbols would hold memory
+# on the scale of the largest block's transform.
 _SYMBOL_CACHE_POINTS = 4096
 _cached_symbol = functools.lru_cache(maxsize=None)(_free_symbol)
 
