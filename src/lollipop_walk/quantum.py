@@ -13,15 +13,26 @@ Storage, half-line growth and the step loop are the shared two-buffer
 engine in `_driver`.  A step rounds each value about once: after t steps
 each amplitude is within t * 2**-52 of its value in exact arithmetic.
 
-From a frontier of 129 sites (2048 on a cycle of more than
-`_STRIP_MAP_MAX_CYCLE` nodes) the engine advances in light-cone blocks
-(see `_driver`): it advances the strip next to the junction as a truncated
-walk of its own, which takes blocks too, and moves the rest of the
-half-line with `_free_steps`, which picks the number L of FFT points,
-L >= m + 2K + 2 for frontier m so that nothing wraps around, and applies
-the free walk's K-step symbol between one rfft/irfft pair.  A 64-step
-strip is one product with `_build_strip_map`'s matrix.  A block of K steps
-over L FFT points is within `_block_error(K, L)`,
+Past the junction the half-line is a free, translation-invariant line,
+and K steps on carry half-line site y > K only from old half-line sites
+within K of it, none of them the junction.  So from a frontier of 129
+sites (512 on a cycle of more than `_STRIP_MAP_MAX_CYCLE` nodes) the walk
+advances on each trim boundary in light-cone blocks of K steps, with K
+set from the frontier m by `_light_cone_block`.  `_free_steps` moves the
+old half-line into sites K + 1 .. m + K by the free walk's K-step symbol
+between one rfft/irfft pair over L >= m + 2K + 2 points, so that nothing
+wraps around.  `_advance_strip` advances the cycle and sites 0..K, which
+read only sites up to 2K, as a walk of its own truncated past site
+2K + 2, which takes blocks too; a 64-step strip is one product with
+`_build_strip_map`'s matrix.  The tail is then cut at the block's bound
+in place of `tiny`.  `_driver.run_walk` advances one snapshot interval
+at a time, so blocks never cross a snapshot time, and extra snapshot
+times split blocks and can move results within the bound below.  The
+classical walk keeps single steps: its tail spans dozens of decades
+below the peak, and an FFT's absolute round-off, about 1e-17 of the
+peak, would erase the relative accuracy of every value printed there.
+
+A block of K steps over L FFT points is within `_block_error(K, L)`,
 
     eps(K, L) = (4 K + 7 log2(2 L) + 8) * 2**-52,
 
@@ -142,8 +153,8 @@ _STRIP_MAP_MAX_CYCLE = 128
 
 @functools.lru_cache(maxsize=4)
 def _build_strip_map(cycle_size):
-    """The linear map of one _TRIM_PERIOD-step strip (see `_driver`) on an
-    n-node cycle, with its round-off bound.
+    """The linear map of one _TRIM_PERIOD-step strip on an n-node cycle
+    (see `WalkerState._advance_strip`), with its round-off bound.
 
     Its input is columns [0, n + 2K + 1) of both rows at gain 1, K =
     _TRIM_PERIOD, and its output the columns [0, n + K + 1) K steps on,
@@ -175,6 +186,28 @@ def _build_strip_map(cycle_size):
     rows_by_columns = float(magnitude.sum(axis=1).max() * magnitude.sum(axis=0).max())
     bound = steps * 2.0**-52 * math.sqrt(size) + gamma * math.sqrt(rows_by_columns)
     return matrix, bound
+
+
+def _strip_map(cycle_size):
+    """`_build_strip_map(cycle_size)`, or None past _STRIP_MAP_MAX_CYCLE."""
+    return _build_strip_map(cycle_size) if cycle_size <= _STRIP_MAP_MAX_CYCLE else None
+
+
+# A light-cone block takes K = min(steps left, frontier // _BLOCK_SHARE)
+# steps, rounded down to a multiple of _TRIM_PERIOD, whenever that is
+# nonzero: from frontier 512.  On a 2-vCPU Xeon host, 1000 to 6000 steps
+# from the middle node of cycles of 129, 300 and 2000 nodes took 0.84 to
+# 1.08 times as long as with blocks from frontier 2048 (medians of 8
+# alternating processes); the 1.08 is n = 2000 at 1000 steps, which takes
+# no block at all.  A walk with a strip map, whose strips cost one product
+# per 64 steps, takes 64-step blocks from frontier 2 * _TRIM_PERIOD + 1:
+# on every cycle launch of n = 3, 7, 11 advanced 1000 steps and then
+# 20 x 50, thresholds from 64 to 192 measured the same, 512 took 14 %
+# longer and no such blocks 27 %.  With K an eighth of the frontier,
+# 100 000 steps from cycle:12:R (n = 25) took 0.45 s, against 0.51, 0.44,
+# 0.50 and 0.53 s with a quarter, a sixth, a twelfth and a sixteenth
+# (medians of 5 alternating runs in one process).
+_BLOCK_SHARE = 8
 
 
 class WalkerState(_driver.TwoBufferWalk):
@@ -218,6 +251,64 @@ class WalkerState(_driver.TwoBufferWalk):
         halfline[0] = 0.0
         return cycle, halfline
 
+    def _advance(self, steps):
+        """The block loop behind `advance`: a light-cone block wherever
+        `_light_cone_block` admits one, else the shared loop up to the
+        next trim boundary.  A block's strip runs it too."""
+        n, period = self.topology.cycle_size, _driver._TRIM_PERIOD
+        while steps > 0:
+            block = self._light_cone_block(steps)
+            if block:
+                m = self._frontier
+                moved, floor = self._free_steps(self._values[:, n : n + m + 1], block)
+                self.reserve(m + block + 2)
+                self._advance_strip(block)
+                # `moved` holds sites block + 1 .. m + block
+                self._values[:, n + block + 1 : n + m + block + 1] = moved
+                del moved  # before the next block's transforms allocate
+                self._frontier = m + block
+                self._cut_tail(floor)
+            else:
+                block = min(steps, period - self.time % period)
+                super()._advance(block)
+            steps -= block
+
+    def _light_cone_block(self, steps):
+        """Steps of a light-cone block to take now, or 0 for none."""
+        period = _driver._TRIM_PERIOD
+        if self.time % period:
+            return 0
+        m = self._frontier
+        block = min(steps, m // _BLOCK_SHARE)
+        block -= block % period
+        # a strip that is one product pays from the least frontier its
+        # 64-step block admits
+        if (not block and steps >= period and m > 2 * period
+                and _strip_map(self.topology.cycle_size) is not None):
+            return period
+        return block
+
+    def _advance_strip(self, steps):
+        """Advance the cycle and half-line sites 0..steps by `steps` steps
+        as the module docstring says; sites past `steps` are left stale."""
+        n, m = self.topology.cycle_size, self._frontier
+        product = _strip_map(n) if steps == _driver._TRIM_PERIOD else None
+        if product is not None:
+            matrix, _ = product
+            inputs = matrix.shape[1] // self._COMPONENTS
+            self._values[:, : n + steps + 1] = (
+                matrix @ self._values[:, :inputs].ravel()
+            ).reshape(self._COMPONENTS, -1)
+        else:
+            sites = min(m, 2 * steps + 2)
+            # sized for its last frontier, sites + steps, so that it never grows
+            strip = type(self)(self.topology, sites + steps + 2)
+            strip.time, strip._frontier = self.time, sites
+            strip._values[:, : n + sites + 1] = self._values[:, : n + sites + 1]
+            strip._advance(steps)
+            self._values[:, : n + steps + 1] = strip._values[:, : n + steps + 1]
+        self.time += steps
+
     @staticmethod
     def _free_steps(rows, steps):
         """Move the Down and Up `rows` of half-line sites 0..m by `steps`
@@ -233,10 +324,6 @@ class WalkerState(_driver.TwoBufferWalk):
         _apply_free_symbol(spectra, steps)
         moved = np.fft.irfft(spectra, points)[:, steps + 1 : sites + steps]
         return moved, _block_error(steps, points)
-
-    def _strip_map(self):
-        n = self.topology.cycle_size
-        return _build_strip_map(n) if n <= _STRIP_MAP_MAX_CYCLE else None
 
     def _kernel(self, values, new, width):
         n = self.topology.cycle_size

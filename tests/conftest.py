@@ -17,6 +17,7 @@ from lollipop_walk import (
     Coin,
     CycleNode,
     LollipopTopology,
+    WalkerState,
     evolve_classical,
     evolve_quantum,
     make_basis_state,
@@ -27,6 +28,13 @@ BENCH_TIMES = (20000, 50000, 100000)
 BENCH_STEPS = 100000
 # extra early snapshots feed the spreading-rate checks
 SNAPSHOT_TIMES = (0, 5000, 10000) + BENCH_TIMES
+
+
+def no_light_cone_blocks(patch):
+    """Give the quantum walk the shared block loop through `patch` (a
+    pytest MonkeyPatch), so that it takes no light-cone block: its steps
+    are then the same bits as single steps."""
+    patch.setattr(WalkerState, "_advance", _driver.TwoBufferWalk._advance)
 
 
 @pytest.fixture(scope="session")

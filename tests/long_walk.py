@@ -1,15 +1,18 @@
-"""10**6 quantum steps from cycle:12:R on the 25-node cycle, ten times what
-the test suite steps: the regime where light-cone blocks grow past every
-size the suite reaches and their strips recurse several levels deep.
+"""10**6 quantum steps from the middle node of an n-node cycle (Right
+coin), ten times what the test suite steps: the regime where light-cone
+blocks grow past every size the suite reaches and their strips recurse
+several levels deep.  n is the first argument, 25 (cycle:12:R) by default;
+on a cycle of more than `quantum._STRIP_MAP_MAX_CYCLE` nodes, such as 129,
+the strips step without the strip map.
 
 Checks that the norm stays within the nested bound `quantum` states, over
 the blocks and strip products this walk took, and that the tracemalloc
 peak stays under the figure `_driver` documents at MAX_HALFLINE_SITES:
 32 B per buffer column and 64 B per FFT point of the largest block.  Runs
-in about 15 s (tracemalloc slows it down about twofold), so it is not part
-of the suite:
+in about 15 s at n = 25 and 25 s at n = 129 (tracemalloc slows it down
+about twofold), so it is not part of the suite:
 
-    PYTHONPATH=src:tests python tests/long_walk.py
+    PYTHONPATH=src:tests python tests/long_walk.py [n]
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from test_light_cone import record_blocks
 STEPS = 10**6
 
 
-def main() -> int:
-    walk = make_basis_state(LollipopTopology(25), CycleNode(12), Coin.RIGHT)
+def main(cycle_size: int = 25) -> int:
+    walk = make_basis_state(LollipopTopology(cycle_size), CycleNode(cycle_size // 2),
+                            Coin.RIGHT)
     free_steps = WalkerState._free_steps
     points = []
 
@@ -50,7 +54,7 @@ def main() -> int:
     bound = STEPS * 2.0**-52 + sum(budget) + walk._values.size * 2.0**-53
     drift = abs(walk.norm() - 1.0)
     limit = 32 * walk._values.shape[1] + 64 * max(points)
-    print(f"{STEPS} steps in {seconds:.1f} s under tracemalloc: "
+    print(f"n = {cycle_size}, {STEPS} steps in {seconds:.1f} s under tracemalloc: "
           f"{len(points)} blocks, strips {budget.depth} deep, "
           f"frontier {walk._frontier}, largest block {max(points)} FFT points")
     print(f"|norm - 1| = {drift:.3e}, stated bound {bound:.3e}")
@@ -59,4 +63,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(*map(int, sys.argv[1:])))

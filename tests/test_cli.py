@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from lollipop_walk import (
-    Coin, CycleNode, HalfLineNode, SummaryRecord, WalkerState, cli, observables,
-    oracle,
+    Coin, CycleNode, HalfLineNode, SummaryRecord, cli, observables, oracle,
 )
 from lollipop_walk._driver import TwoBufferWalk
 from lollipop_walk.cli import (
@@ -19,6 +18,8 @@ from lollipop_walk.cli import (
     parse_start,
 )
 from lollipop_walk.output import format_probability
+
+from conftest import no_light_cone_blocks
 
 
 def run_args(out, model="quantum", start="cycle:12:R", steps="4", **extra):
@@ -317,7 +318,7 @@ GOLDEN_RUNS = [
 def test_run_artifacts_match_golden_digests(
     tmp_path, monkeypatch, model, cycle_size, start, length, digest
 ):
-    monkeypatch.setattr(WalkerState, "_free_steps", None)  # no light-cone blocks
+    no_light_cone_blocks(monkeypatch)
     steps, snapshots = length
     out = tmp_path / "out"
     code = main(

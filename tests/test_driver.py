@@ -11,13 +11,14 @@ from lollipop_walk import (
     CycleNode,
     HalfLineNode,
     LollipopTopology,
-    WalkerState,
     evolve_classical,
     evolve_quantum,
     make_basis_state,
     make_point_distribution,
     position_distribution,
 )
+
+from conftest import no_light_cone_blocks
 
 N = 7
 
@@ -250,7 +251,7 @@ def test_advance_in_chunks_equals_single_steps_bit_for_bit(model, region, data):
     with pytest.MonkeyPatch.context() as patch:
         # light-cone blocks, which chunks of 64 steps and more can take,
         # round otherwise (test_light_cone.py bounds them)
-        patch.setattr(WalkerState, "_free_steps", None)
+        no_light_cone_blocks(patch)
         walk.advance(start)
         chunked, single = walk.copy(), walk.copy()
         extents, trims = {single.extent}, 0

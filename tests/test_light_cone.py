@@ -1,9 +1,12 @@
-"""Light-cone blocks of the quantum walk: the free line's closed-form K-step
-symbol against an impulse stepped in long double, the 64-step strip map
-against stepping, block advancing (recursive, with and without the strip
-map) against block-free stepping within the nested bound `quantum` states,
-the size limits of the symbol and strip-map caches, and the long benchmark
-fixture and a long `run` against block-free stepping."""
+"""Light-cone blocks of the quantum walk, which `quantum` runs: the free
+line's closed-form K-step symbol against an impulse stepped in long double,
+the 64-step strip map against stepping, block advancing (recursive, with
+and without the strip map, and at the engine's own constants on a cycle
+past the strip map's size limit) against block-free stepping within the
+nested bound `quantum` states, the size limits of the symbol and strip-map
+caches, and the long benchmark fixture and a long `run` against block-free
+stepping.  The block-free references run `_driver`'s shared loop alone
+(`conftest.no_light_cone_blocks`)."""
 
 import csv
 import json
@@ -25,6 +28,8 @@ from lollipop_walk import (
 )
 from lollipop_walk.output import PRINT_FLOOR
 from lollipop_walk.quantum import _block_error
+
+from conftest import no_light_cone_blocks
 
 CHUNK = 64  # the trim period: chunked stepping takes blocks unless they are off
 BASE = _driver._TRIM_PERIOD  # steps of a strip the strip map takes in one product
@@ -89,7 +94,7 @@ def advance_in_chunks(walk, steps):
     off: the block-free reference, the same bits as single steps."""
     end = walk.time + steps
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(WalkerState, "_free_steps", None)
+        no_light_cone_blocks(patch)
         while walk.time < end:
             walk.advance(min(CHUNK, end - walk.time))
 
@@ -107,7 +112,7 @@ def record_blocks(patch):
     product.  The list's `depth` attribute ends as the deepest strip."""
     budget = Budget()
     cut = _driver.TwoBufferWalk._cut_tail
-    strip = _driver.TwoBufferWalk._advance_strip
+    strip = WalkerState._advance_strip
 
     def recording_cut(state, floor):
         n, m = state.topology.cycle_size, state._frontier
@@ -117,7 +122,7 @@ def record_blocks(patch):
             budget.append(floor + math.sqrt(np.sum(before[:, state._frontier + 1 :] ** 2)))
 
     def recording_strip(state, steps):
-        product = state._strip_map() if steps == BASE else None
+        product = quantum._strip_map(state.topology.cycle_size) if steps == BASE else None
         if product is not None:
             budget.append(product[1])
         budget.level += 1
@@ -126,7 +131,7 @@ def record_blocks(patch):
         budget.level -= 1
 
     patch.setattr(_driver.TwoBufferWalk, "_cut_tail", recording_cut)
-    patch.setattr(_driver.TwoBufferWalk, "_advance_strip", recording_strip)
+    patch.setattr(WalkerState, "_advance_strip", recording_strip)
     return budget
 
 
@@ -150,21 +155,9 @@ def launches(draw, region):
     return make_basis_state(topo, site, coin)
 
 
-def blocks_within_the_stated_bound(data, region, **constants):
-    """Advance a drawn launch with the engine's block constants set to
-    `constants` and check it against block-free chunks within the nested
-    bound; return the record of the blocks taken."""
-    walk = data.draw(launches(region))
-    steps = data.draw(st.integers(1600, 2600))
-    split = data.draw(st.integers(0, steps))
-    chunked = walk.copy()
-    advance_in_chunks(chunked, steps)
-    with pytest.MonkeyPatch.context() as patch:
-        for name, value in constants.items():
-            patch.setattr(_driver, name, value)
-        budget = record_blocks(patch)
-        walk.advance(split)
-        walk.advance(steps - split)
+def agrees_within_the_stated_bound(walk, chunked, steps, budget):
+    """Check `walk`, advanced `steps` steps in the blocks `budget` records,
+    against `chunked`, the same launch in block-free chunks."""
     for state in (walk, chunked):
         past = state.topology.cycle_size + state._frontier + 2
         for rows in (state._values, state._back):
@@ -180,6 +173,24 @@ def blocks_within_the_stated_bound(data, region, **constants):
     # each norm's own summation rounds by at most its length times 2**-53
     summation = mine.size * 2.0**-53
     assert abs(walk.norm() - chunked.norm()) <= bound + 2 * summation
+
+
+def blocks_within_the_stated_bound(data, region, **constants):
+    """Advance a drawn launch with the walk's block constants set to
+    `constants` and check it against block-free chunks within the nested
+    bound; return the record of the blocks taken."""
+    walk = data.draw(launches(region))
+    steps = data.draw(st.integers(1600, 2600))
+    split = data.draw(st.integers(0, steps))
+    chunked = walk.copy()
+    advance_in_chunks(chunked, steps)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(quantum, name, value)
+        budget = record_blocks(patch)
+        walk.advance(split)
+        walk.advance(steps - split)
+    agrees_within_the_stated_bound(walk, chunked, steps, budget)
     return budget
 
 
@@ -200,13 +211,11 @@ def test_stepped_strips_agree_with_chunked_steps_within_the_stated_bound(
     region, data
 ):
     # a cycle past the strip map's size limit steps its strips; blocks of
-    # K = m / 3 from K = 128, so a strip takes blocks of its own from
-    # K = 192 (frontier 576)
+    # K = m / 3 from frontier 192, so a strip of 2K + 2 sites takes blocks
+    # of its own from K = 128 (frontier 384)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(WalkerState, "_strip_map", lambda state: None)
-        budget = blocks_within_the_stated_bound(
-            data, region, _BLOCK_SHARE=3, _BLOCK_MIN=2 * CHUNK
-        )
+        patch.setattr(quantum, "_strip_map", lambda cycle_size: None)
+        budget = blocks_within_the_stated_bound(data, region, _BLOCK_SHARE=3)
     assert budget.depth >= 2
 
 
@@ -229,28 +238,33 @@ def test_strip_map_agrees_with_stepping_within_its_bound(n):
     assert bound < 1e-11
 
 
-def test_no_strip_map_past_its_cycle_size_limit(monkeypatch):
+def test_stepped_strips_past_the_strip_map_limit_agree_with_chunked_steps():
+    # the engine's own constants on a cycle one node past the strip map's
+    # size limit: no map is built, blocks start at frontier 512 and their
+    # strips step, down to 64-step strips of 130 sites that take no block
     def refuse(cycle_size):
         raise AssertionError("built a strip map past the size limit")
 
-    monkeypatch.setattr(quantum, "_build_strip_map", refuse)
     n = quantum._STRIP_MAP_MAX_CYCLE + 1
-    walk = make_basis_state(LollipopTopology(n), CycleNode(0), Coin.DOWN)
-    reference = walk.copy()
-    walk.advance(600)
-    advance_in_chunks(reference, 600)
-    assert walk._frontier > 2 * BASE + 1  # past the least frontier of a map block
-    # below frontier 8 * _BLOCK_MIN, so no block at all: the same bits
-    assert walk._values.tobytes() == reference._values.tobytes()
+    steps = 20000
+    walk = make_basis_state(LollipopTopology(n), CycleNode(n // 2), Coin.RIGHT)
+    chunked = walk.copy()
+    advance_in_chunks(chunked, steps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum, "_build_strip_map", refuse)
+        budget = record_blocks(patch)
+        walk.advance(steps)
+    agrees_within_the_stated_bound(walk, chunked, steps, budget)
+    assert budget.depth >= 2
 
 
 def test_blocks_off_takes_no_strip_map_and_no_strip(monkeypatch):
     def refuse(*args):
         raise AssertionError("a block ran with blocks off")
 
-    monkeypatch.setattr(WalkerState, "_free_steps", None)
+    no_light_cone_blocks(monkeypatch)
     monkeypatch.setattr(quantum, "_build_strip_map", refuse)
-    monkeypatch.setattr(_driver.TwoBufferWalk, "_advance_strip", refuse)
+    monkeypatch.setattr(WalkerState, "_advance_strip", refuse)
     walk = make_basis_state(LollipopTopology(5), CycleNode(2), Coin.LEFT)
     walk.advance(3000)
     assert walk.time == 3000 and walk._frontier > 2048
