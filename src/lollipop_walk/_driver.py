@@ -58,8 +58,8 @@ import numpy as np
 from . import observables
 
 _MIN_EXTENT = 2
-# steps between tail trims; a trim rescales and scans the live columns,
-# which costs about as much as a few steps
+# steps between tail trims; a trim rescales the live columns and scans
+# back from the frontier, which costs about as much as a step or two
 _TRIM_PERIOD = 64
 _TINY = np.finfo(np.float64).tiny
 # Largest cycle, and largest half-line a walk may need, that the engine
@@ -68,11 +68,11 @@ _TINY = np.finfo(np.float64).tiny
 # quantum walk's two rows, 16 B for the classical walk's one, so after
 # doubling the half-line part stays near 640 MB and a cycle this size
 # 320 MB.  A quantum light-cone block at frontier m takes L FFT points,
-# the least power of two above about 1.25 m, and adds at most 64 B per
-# point for its transforms and its strip's walks: about 1.1 GB for the
-# 2**24 points it may need here.  With tracemalloc, 10**6 steps from
-# cycle:12:R (n = 25) peaked at 77 MB: 32 MB of buffers (extent 2**20)
-# and about 45 B per point for the last blocks' 2**20 points.
+# the least 2**j or 3 * 2**j above about 1.25 m, and adds at most 64 B
+# per point for its transforms and its strip's walks: about 0.8 GB for
+# the 3 * 2**22 points it may need here.  With tracemalloc, 10**6 steps
+# from cycle:12:R (n = 25) peaked at 71 MB: 32 MB of buffers (extent
+# 2**20) and about 38 B per point for the last blocks' 2**20 points.
 MAX_HALFLINE_SITES = 10**7
 
 
@@ -214,11 +214,22 @@ class TwoBufferWalk:
     def _cut_tail(self, floor: float) -> None:
         """Move the frontier back to the last half-line site where some
         component is at least `floor`, zeroing the contiguous tail past it
-        in the front and back buffers alike."""
+        in the front and back buffers alike.
+
+        The last such site is near the frontier after every trim and block,
+        so the scan runs back from it over windows of 64, 128, 256, ...
+        sites and stops at the first that holds one; together the windows
+        cover the whole half-line, so the site found is the whole row's."""
         n, m = self.topology.cycle_size, self._frontier
-        kept = (np.abs(self._values[:, n : n + m + 1]) >= floor).any(axis=0)
-        sites = np.flatnonzero(kept)
-        keep = int(sites[-1]) if sites.size else 0
+        end, window = m + 1, _TRIM_PERIOD
+        while True:
+            start = max(end - window, 0)
+            kept = (np.abs(self._values[:, n + start : n + end]) >= floor).any(axis=0)
+            sites = np.flatnonzero(kept)
+            if sites.size or not start:
+                break
+            end, window = start, 2 * window
+        keep = start + int(sites[-1]) if sites.size else 0
         self._values[:, n + keep + 1 : n + m + 2] = 0.0
         self._back[:, n + keep + 1 : n + m + 2] = 0.0
         self._frontier = keep

@@ -21,7 +21,8 @@ advances on each trim boundary in light-cone blocks of K steps, with K
 set from the frontier m by `_light_cone_block`.  `_free_steps` moves the
 old half-line into sites K + 1 .. m + K by the free walk's K-step symbol
 between one rfft/irfft pair over L >= m + 2K + 2 points, so that nothing
-wraps around.  `_advance_strip` advances the cycle and sites 0..K, which
+wraps around; `_fft_points` takes the least such L of the form 2**j or
+3 * 2**j, and each size's K-independent part of the symbol is tabled.  `_advance_strip` advances the cycle and sites 0..K, which
 read only sites up to 2K, as a walk of its own truncated past site
 2K + 2, which takes blocks too; a 64-step strip is one product with
 `_build_strip_map`'s matrix.  The tail is then cut at the block's bound
@@ -34,20 +35,33 @@ peak, would erase the relative accuracy of every value printed there.
 
 A block of K steps over L FFT points is within `_block_error(K, L)`,
 
-    eps(K, L) = (4 K + 7 log2(2 L) + 8) * 2**-52,
+    eps(K, L) = (4 K + 7 b(L) + 8) * 2**-52,
 
+b(L) the bit length of L (log2(2 L) for L = 2**j, j + 2 for L = 3 * 2**j),
 in 2-norm (so in every amplitude) of exact arithmetic, from three parts:
 
-- FFT round-off: each transform errs by at most log2(L) eta relative to
-  the 2-norm, eta = mu + gamma_4 (sqrt(2) + mu), about 6.7 * 2**-53 with
+- FFT round-off: a radix-2 stage errs by at most eta relative to the
+  2-norm, eta = mu + gamma_4 (sqrt(2) + mu), about 6.7 * 2**-53 with
   accurate twiddles (Higham, Accuracy and Stability of Numerical
-  Algorithms, 2nd ed., section 24.1, Theorem 24.2): 7 log2(2 L) covers the
-  pair, and 8 more units the roundings in the symbol and its product;
+  Algorithms, 2nd ed., section 24.1, Theorem 24.2), and the stages'
+  errors add up.  By the same argument, each output of a radix-3
+  butterfly is x_0 plus two products of twiddled inputs with unit
+  constants, within c = mu + gamma_4 (1 + mu) + gamma_2 (1 + mu)(1 +
+  gamma_4) times |x_0| + |x_1| + |x_2|, so the three outputs err by at
+  most 3 c ||x|| in 2-norm; the 3-point DFT is sqrt(3) times a unitary,
+  so the stage errs by at most eta_3 = sqrt(3) c relative to its output,
+  about 12.2 * 2**-53, under 2 eta.  A transform over 2**j points thus
+  errs by at most j eta and one over 3 * 2**j by (j + 2) eta, both at
+  most b(L) eta: 7 b(L) covers the pair, and 8 more units the roundings
+  in the symbol and its product;
 - the symbol's phase: K w errs by K times the error in the eigenphase w
-  plus the product's rounding, at most 4 K units: k is rounded only on
-  [0, pi/2], where that moves w by under 1/2 unit; sin k, the division by
-  sqrt(2) and arcsin round once each, which arcsin's slope (at most
-  sqrt(2)) turns into under 3 units; the product rounds by under K / 2;
+  plus the product's rounding, at most 4 K units: k = i * (2 pi / L) is
+  used only on [0, pi/2], and fl(2 pi), the division by L (exact for
+  L = 2**j) and the product move it by under 1.5 units, which w's slope
+  in k (at most 1 / sqrt(2)) turns into under 1 unit; sin k, the
+  division by sqrt(2) and arcsin round once each, which arcsin's slope
+  (at most sqrt(2)) turns into under 2.5 units; the product rounds by
+  under K / 2;
 - the tail cut at eps(K, L): it discards less than 2 eps**2 probability
   per cut site, and a cut that discards probability P moves the state by
   sqrt(P).
@@ -58,11 +72,13 @@ strips move on under steps that do not grow the 2-norm, so after t steps
 the state is within t * 2**-52 plus, over the blocks taken at every depth,
 the sum of eps(K, L) + sqrt(P), plus beta(n) per strip map product, of
 exact arithmetic in 2-norm.  Against an impulse stepped in long double one
-block errs by 4.2e-15, 1.7e-14 and 7.3e-14 at K = 64, 256 and 1024, about
-K / 3 units, and 100 000 steps from cycle:12:R on 25 nodes stay within
-5.2e-14 of single steps in every probability.  A block's last bits depend
-on numpy's FFT, sin/cos and matrix product, so they may differ between
-numpy builds and CPUs, within the bound.
+block errs by 3.7e-15, 1.5e-14 and 6.4e-14 at K = 64, 256 and 1024 over
+8K points, and by 5.3e-15, 2.1e-14 and 8.3e-14 over 6K points: 5 to 9 %
+of eps(K, L), about K / 3 units.  100 000 steps from cycle:12:R on 25
+nodes stay within 4.6e-14 of single steps in every probability at
+t = 20 000, 50 000 and 100 000.  A block's last bits depend on numpy's
+FFT, sin/cos and matrix product, so they may differ between numpy builds
+and CPUs, within the bound.
 """
 
 from __future__ import annotations
@@ -89,27 +105,72 @@ def _block_error(steps: int, points: int) -> float:
     return (4 * steps + 7 * points.bit_length() + 8) * 2.0**-52
 
 
-def _free_symbol(steps, points):
-    """(b, e) of `_apply_free_symbol` for `steps` steps over `points` FFT
-    points, at the rfft's frequencies k."""
+def _fft_points(need):
+    """The least L >= need of the form 2**j or 3 * 2**j: a transform of
+    radix-2 stages and at most one radix-3 stage, and under 1.5 times
+    `need`, where the next power of two can be twice it."""
+    return min(1 << (need - 1).bit_length(), 3 << ((need - 1) // 3).bit_length())
+
+
+def _even_about_quarter(values, out):
+    """Write `values`, at frequencies 0..pi/2, into `out`, at 0..pi, even
+    about pi/2."""
+    out[: values.size] = values
+    out[values.size :] = values[-2::-1]
+
+
+def _symbol_table(points):
+    """The K-independent arrays of `_free_symbol` over `points` FFT points:
+    sin k, w = arcsin(sin k / sqrt(2)) and sqrt(2 - sin**2 k) at the
+    rfft's frequencies k up to pi/2 (all three are even about pi/2), and
+    cos k at all of them."""
     k = np.arange(points // 2 + 1) * (2 * math.pi / points)
     sin_k = np.sin(k[: points // 4 + 1])
-    sin_k = np.concatenate((sin_k, sin_k[-2::-1]))  # even about k = pi / 2
-    angle = steps * np.arcsin(sin_k / math.sqrt(2))  # K w
-    s = np.sin(angle) / np.sqrt(2 - sin_k * sin_k)  # sin(K w) / (sqrt(2) cos w)
-    e = np.empty(sin_k.size, complex)
-    np.multiply(-s, sin_k, e.real)
-    np.multiply(s, np.cos(k), e.imag)
+    w, root = np.arcsin(sin_k / math.sqrt(2)), np.sqrt(2 - sin_k * sin_k)
+    return sin_k, w, root, np.cos(k, out=k)
+
+
+# Tables are kept for every size up to this, 10 B per point: for the sizes
+# 2**j and 3 * 2**j up to 2**16, 2.3 MB in all.  A larger size is built
+# in its block and freed with it, so a long walk holds no table on the
+# scale of its largest transforms.
+_TABLE_CACHE_POINTS = 1 << 16
+_cached_table = functools.lru_cache(maxsize=None)(_symbol_table)
+
+
+def _free_symbol(steps, points):
+    """(b, e) of `_apply_free_symbol` for `steps` steps over `points` FFT
+    points, at the rfft's frequencies k.  Each array is dropped once it is
+    used, so that an uncached table goes while the symbol is built."""
+    table = _cached_table if points <= _TABLE_CACHE_POINTS else _symbol_table
+    sin_k, w, root, cos_k = table(points)
+    angle = steps * w  # K w
+    s = np.sin(angle)
+    s /= root  # sin(K w) / (sqrt(2) cos w)
+    minus_real = -s * sin_k
+    del w, root, sin_k
+    e = np.empty(cos_k.size, complex)
+    _even_about_quarter(minus_real, e.real)
+    _even_about_quarter(s, e.imag)
+    del s
+    np.multiply(e.imag, cos_k, e.imag)
+    del cos_k
     # cos((K-1) w) / cos w = cos(K w) + sin(K w) tan w
-    return np.cos(angle) - e.real, e
+    np.cos(angle, out=angle)
+    angle -= minus_real
+    b = np.empty(e.size)
+    _even_about_quarter(angle, b)
+    return b, e
 
 
 # Small blocks repeat the same (K, L) many times, so their symbols are
-# kept: 300 000 steps from cycle:12:R (n = 25) took 5 939 of their 6 496
-# symbols from its 9 entries, and 548 had more points and were computed in
-# their block.  It holds at most L / 128 values of K for each power of two
-# L up to this, about 2 MB in all; keeping larger symbols would hold memory
-# on the scale of the largest block's transform.
+# kept: 300 000 steps from cycle:12:R (n = 25) took 5 934 of their 6 496
+# symbols from its 14 entries, and 548 had more points and were computed
+# in their block, 529 of them from the 16 tables kept.  A block takes
+# K <= m / 8 over L >= m + 2K + 2 points, so K <= (L - 2) / 10, a
+# multiple of 64, or K = 64 from a strip map: at most L / 640 + 1 values
+# of K for each size L up to this, under 1 MB in all; keeping larger
+# symbols would hold memory on the scale of the largest block's transform.
 _SYMBOL_CACHE_POINTS = 4096
 _cached_symbol = functools.lru_cache(maxsize=None)(_free_symbol)
 
@@ -130,17 +191,26 @@ def _apply_free_symbol(spectra, steps):
     points = 2 * (spectra.shape[1] - 1)
     symbol = _cached_symbol if points <= _SYMBOL_CACHE_POINTS else _free_symbol
     b, e = symbol(steps, points)
-    down, up = spectra
-    total, diff = down + up, up - down
-    np.multiply(total, e, total)
-    # conj(e) x = conj(e conj(x)): a cached e is shared, so only the
-    # temporary is conjugated
-    np.conj(diff, diff)
-    np.multiply(diff, e, diff)
-    np.conj(diff, diff)
-    for row, mixed in ((down, total), (up, diff)):
-        np.multiply(row, b, row)
-        np.add(row, mixed, row)
+    # a chunk of frequencies at a time, so that the temporaries stay small
+    # beside the spectra and the symbol on the largest blocks
+    for start in range(0, b.size, _SYMBOL_CHUNK):
+        part = slice(start, start + _SYMBOL_CHUNK)
+        down, up = spectra[:, part]
+        total, diff = down + up, up - down
+        np.multiply(total, e[part], total)
+        # conj(e) x = conj(e conj(x)): a cached e is shared, so only the
+        # temporary is conjugated
+        np.conj(diff, diff)
+        np.multiply(diff, e[part], diff)
+        np.conj(diff, diff)
+        for row, mixed in ((down, total), (up, diff)):
+            np.multiply(row, b[part], row)
+            np.add(row, mixed, row)
+
+
+# frequencies per chunk of `_apply_free_symbol`: its two temporaries take
+# 2 MB, where whole they would take 16 B per FFT point
+_SYMBOL_CHUNK = 1 << 16
 
 
 # The strip map has (2n + 130) (2n + 258) entries on an n-node cycle, so it
@@ -160,7 +230,10 @@ def _build_strip_map(cycle_size):
     _TRIM_PERIOD, and its output the columns [0, n + K + 1) K steps on,
     flattened row by row: the cycle and half-line sites 0..K read only
     sites up to 2K.  Each column is a basis vector stepped through
-    `_step_columns`, so it is within K 2**-52 of exact arithmetic in
+    `_step_columns`; those of sites K + 1 .. 2K, whose light cones never
+    reach the junction, take the same roundings at every site, so site
+    K + 1's column is stepped and moved up a site for each of the others.
+    So each column is within K 2**-52 of exact arithmetic in
     2-norm, and ||(map - exact) x|| <= K 2**-52 ||x||_1 <= K 2**-52
     sqrt(c) for a state x of norm at most 1 over c input values.  The
     product rounds output i by at most gamma_c sum_j |map_ij| |x_j|
@@ -174,11 +247,16 @@ def _build_strip_map(cycle_size):
     walk = WalkerState(LollipopTopology(n), 2 * steps + 1)
     matrix = np.empty((2, outputs, 2, inputs))
     for row in range(2):
-        for column in range(inputs):
+        for column in range(n + steps + 2):
             walk._values[:] = 0.0
             walk._values[row, column] = 1.0
             walk._step_columns(inputs, steps)
             matrix[:, :, row, column] = walk._values[:, :outputs]
+        first = matrix[:, :, row, n + steps + 1]
+        for shift in range(1, steps):
+            moved = matrix[:, :, row, n + steps + 1 + shift]
+            moved[:, : n + shift] = 0.0
+            moved[:, n + shift :] = first[:, n : outputs - shift]
     matrix = matrix.reshape(2 * outputs, 2 * inputs)
     size = matrix.shape[1]
     magnitude = np.abs(matrix)
@@ -319,7 +397,7 @@ class WalkerState(_driver.TwoBufferWalk):
         another.
         """
         sites = rows.shape[1]
-        points = 1 << (sites + 2 * steps).bit_length()
+        points = _fft_points(sites + 2 * steps + 1)
         spectra = np.fft.rfft(rows, points)
         _apply_free_symbol(spectra, steps)
         moved = np.fft.irfft(spectra, points)[:, steps + 1 : sites + steps]

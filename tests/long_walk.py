@@ -6,9 +6,11 @@ on a cycle of more than `quantum._STRIP_MAP_MAX_CYCLE` nodes, such as 129,
 the strips step without the strip map.
 
 Checks that the norm stays within the nested bound `quantum` states, over
-the blocks and strip products this walk took, and that the tracemalloc
-peak stays under the figure `_driver` documents at MAX_HALFLINE_SITES:
-32 B per buffer column and 64 B per FFT point of the largest block.  Runs
+the blocks and strip products this walk took, that the tracemalloc peak
+stays under the figure `_driver` documents at MAX_HALFLINE_SITES: 32 B
+per buffer column and 64 B per FFT point of the largest block, with each
+block's points taken from the engine's own size function, and that some
+block took a size of 3 * 2**j points.  Runs
 in about 15 s at n = 25 and 25 s at n = 129 (tracemalloc slows it down
 about twofold), so it is not part of the suite:
 
@@ -23,7 +25,7 @@ import tracemalloc
 
 import pytest
 
-from lollipop_walk import Coin, CycleNode, LollipopTopology, WalkerState, make_basis_state
+from lollipop_walk import Coin, CycleNode, LollipopTopology, make_basis_state, quantum
 from test_light_cone import record_blocks
 
 STEPS = 10**6
@@ -32,18 +34,18 @@ STEPS = 10**6
 def main(cycle_size: int = 25) -> int:
     walk = make_basis_state(LollipopTopology(cycle_size), CycleNode(cycle_size // 2),
                             Coin.RIGHT)
-    free_steps = WalkerState._free_steps
+    fft_points = quantum._fft_points
     points = []
 
-    def recording_free_steps(rows, steps):
-        points.append(1 << (rows.shape[1] + 2 * steps).bit_length())
-        return free_steps(rows, steps)
+    def recording_fft_points(need):
+        points.append(fft_points(need))
+        return points[-1]
 
     tracemalloc.start()
     start = time.perf_counter()
     with pytest.MonkeyPatch.context() as patch:
         budget = record_blocks(patch)
-        patch.setattr(WalkerState, "_free_steps", staticmethod(recording_free_steps))
+        patch.setattr(quantum, "_fft_points", recording_fft_points)
         walk.advance(STEPS)
     seconds = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
@@ -54,12 +56,15 @@ def main(cycle_size: int = 25) -> int:
     bound = STEPS * 2.0**-52 + sum(budget) + walk._values.size * 2.0**-53
     drift = abs(walk.norm() - 1.0)
     limit = 32 * walk._values.shape[1] + 64 * max(points)
+    threes = sum(p % 3 == 0 for p in points)
     print(f"n = {cycle_size}, {STEPS} steps in {seconds:.1f} s under tracemalloc: "
           f"{len(points)} blocks, strips {budget.depth} deep, "
-          f"frontier {walk._frontier}, largest block {max(points)} FFT points")
+          f"frontier {walk._frontier}, largest block {max(points)} FFT points, "
+          f"{threes} blocks of 3 * 2**j points")
     print(f"|norm - 1| = {drift:.3e}, stated bound {bound:.3e}")
     print(f"tracemalloc peak {peak / 2**20:.1f} MB, documented limit {limit / 2**20:.1f} MB")
-    return 0 if drift <= bound and peak <= limit and budget.depth >= 3 else 1
+    passed = drift <= bound and peak <= limit and budget.depth >= 3 and threes > 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -48,25 +48,55 @@ def free_line_steps(down, up, steps):
 
 @pytest.mark.parametrize("steps", [64, 256, 1024])
 def test_free_line_symbol_matches_a_long_double_impulse(steps):
-    # half-line sites 0..m; the impulse's fronts land on sites steps + 1 and
-    # 3 * steps + 1, inside the returned sites steps + 1 .. m + steps
-    m = 4 * steps
-    centre = 2 * steps + 1
-    rows = np.zeros((2, m + 1))
-    rows[:, centre] = 0.6, 0.8  # unit norm
-    moved, floor = WalkerState._free_steps(rows, steps)
-    padded = np.zeros((2, m + steps + 1))
-    padded[:, : m + 1] = rows
-    want = free_line_steps(*padded.astype(np.longdouble), steps)
-    want = [w[steps + 1 :] for w in want]
-    assert moved.shape == (2, m)
-    error = math.sqrt(sum(float(np.sum((g - w) ** 2)) for g, w in zip(moved, want)))
-    points = 1 << (m + 2 * steps + 1).bit_length()  # the least 2**j >= m + 2 * steps + 2
-    assert floor == _block_error(steps, points)
-    assert error <= floor
-    # the stepped impulse reaches exactly `steps` sites each way, to sites
-    # steps + 1 and 3 * steps + 1
-    assert want[0][0] != 0 and want[1][2 * steps] != 0
+    # half-line sites 0..m, over the least 2**j or 3 * 2**j >= m + 2 * steps + 2
+    # points: 8 * steps points for m = 4 * steps, 6 * steps for two sites
+    # fewer; the impulse's fronts land on sites steps + 1 and 3 * steps + 1,
+    # inside the returned sites steps + 1 .. m + steps
+    for m, points in ((4 * steps, 8 * steps), (4 * steps - 2, 6 * steps)):
+        centre = 2 * steps + 1
+        rows = np.zeros((2, m + 1))
+        rows[:, centre] = 0.6, 0.8  # unit norm
+        moved, floor = WalkerState._free_steps(rows, steps)
+        padded = np.zeros((2, m + steps + 1))
+        padded[:, : m + 1] = rows
+        want = free_line_steps(*padded.astype(np.longdouble), steps)
+        want = [w[steps + 1 :] for w in want]
+        assert moved.shape == (2, m)
+        error = math.sqrt(sum(float(np.sum((g - w) ** 2)) for g, w in zip(moved, want)))
+        assert floor == _block_error(steps, points)
+        assert error <= floor
+        # the stepped impulse reaches exactly `steps` sites each way, to sites
+        # steps + 1 and 3 * steps + 1
+        assert want[0][0] != 0 and want[1][2 * steps] != 0
+
+
+def test_fft_points_is_the_least_admissible_size():
+    sizes = sorted({c << j for j in range(16) for c in (1, 3)})
+    for need in range(1, 40000):
+        assert quantum._fft_points(need) == next(size for size in sizes if size >= need)
+
+
+def reference_symbol(steps, points):
+    """The K-step symbol computed whole, without tables: the formula the
+    tables split up."""
+    k = np.arange(points // 2 + 1) * (2 * math.pi / points)
+    sin_k = np.sin(k[: points // 4 + 1])
+    sin_k = np.concatenate((sin_k, sin_k[-2::-1]))  # even about k = pi / 2
+    angle = steps * np.arcsin(sin_k / math.sqrt(2))
+    s = np.sin(angle) / np.sqrt(2 - sin_k * sin_k)
+    e = np.empty(sin_k.size, complex)
+    np.multiply(-s, sin_k, e.real)
+    np.multiply(s, np.cos(k), e.imag)
+    return np.cos(angle) - e.real, e
+
+
+@pytest.mark.parametrize("points", [384, 512, 1536, 4096, 6144, 3 << 15, 1 << 17])
+@pytest.mark.parametrize("steps", [64, 576, 12288])
+def test_symbols_from_tables_equal_the_whole_formula_bit_for_bit(steps, points):
+    # sizes on both sides of the table cache's limit, 2**16
+    for got, want in zip(quantum._free_symbol(steps, points),
+                         reference_symbol(steps, points)):
+        assert got.tobytes() == want.tobytes()
 
 
 def amplitudes(walk, sites):
@@ -238,6 +268,28 @@ def test_strip_map_agrees_with_stepping_within_its_bound(n):
     assert bound < 1e-11
 
 
+def strip_map_stepped_column_by_column(n):
+    """The strip map with every column stepped, none moved: its first form."""
+    inputs, outputs = n + 2 * BASE + 1, n + BASE + 1
+    walk = WalkerState(LollipopTopology(n), 2 * BASE + 1)
+    matrix = np.empty((2, outputs, 2, inputs))
+    for row in range(2):
+        for column in range(inputs):
+            walk._values[:] = 0.0
+            walk._values[row, column] = 1.0
+            walk._step_columns(inputs, BASE)
+            matrix[:, :, row, column] = walk._values[:, :outputs]
+    return matrix.reshape(2 * outputs, 2 * inputs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 25, 128])
+def test_moved_strip_map_columns_equal_stepped_ones_bit_for_bit(n):
+    matrix, _ = quantum._build_strip_map(n)
+    want = strip_map_stepped_column_by_column(n)
+    assert np.array_equal(matrix, want)
+    assert np.array_equal(np.signbit(matrix), np.signbit(want))
+
+
 def test_stepped_strips_past_the_strip_map_limit_agree_with_chunked_steps():
     # the engine's own constants on a cycle one node past the strip map's
     # size limit: no map is built, blocks start at frontier 512 and their
@@ -272,14 +324,25 @@ def test_blocks_off_takes_no_strip_map_and_no_strip(monkeypatch):
 
 def test_only_small_symbols_are_cached():
     quantum._cached_symbol.cache_clear()
-    # 128 steps from 1001 sites take 2048 FFT points, from 4000 sites 8192
+    # 128 steps from 1001 sites take 1536 FFT points, from 4000 sites 6144
     for sites in (1001, 1001, 4000):
         WalkerState._free_steps(np.zeros((2, sites)), 128)
     info = quantum._cached_symbol.cache_info()
     assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
     # the blocks left the shared symbol as they found it
-    for kept, fresh in zip(quantum._cached_symbol(128, 2048), quantum._free_symbol(128, 2048)):
+    for kept, fresh in zip(quantum._cached_symbol(128, 1536), quantum._free_symbol(128, 1536)):
         assert np.array_equal(kept, fresh)
+
+
+def test_only_tables_up_to_the_limit_are_cached():
+    limit = quantum._TABLE_CACHE_POINTS
+    quantum._cached_table.cache_clear()
+    for points in (384, limit, 3 * limit // 2, 2 * limit):
+        quantum._free_symbol(64, points)
+    assert quantum._cached_table.cache_info().currsize == 2
+    # the symbols left the shared tables as they found them
+    for kept, fresh in zip(quantum._cached_table(limit), quantum._symbol_table(limit)):
+        assert kept.tobytes() == fresh.tobytes()
 
 
 def test_long_fixture_agrees_with_chunked_steps(topology25, quantum_cycle12):

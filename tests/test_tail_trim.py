@@ -5,8 +5,8 @@ site holding a value at least its cut floor (the smallest normal double
 for the quantum walk, 1e-60 for the classical walk) and zeroes the tail
 past it.  These tests check that rule from outside: against the step rule
 applied with no trim, against a hand-zeroed copy, against an exact
-(rational) sum of what the trim throws away, and against an untrimmed
-walk.
+(rational) sum of what the trim throws away, against an untrimmed walk,
+and the windowed scan against one scan of the whole half-line.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lollipop_walk import (
     ClassicalDistribution,
     Coin,
     CycleNode,
     LollipopTopology,
+    WalkerState,
     make_basis_state,
     make_point_distribution,
 )
@@ -229,3 +231,71 @@ def test_band_planted_at_gain_one_outlives_renormalization_and_is_cut(topo, mode
 def test_long_runs_end_with_a_trimmed_frontier(request, fixture, share):
     _, final = request.getfixturevalue(fixture)
     assert final._frontier < share * final.time
+
+
+def whole_row_cut(state, floor):
+    """The cut as one scan of the whole half-line row: back to the last
+    site where some component is at least `floor`, the tail past it zeroed
+    in both buffers."""
+    n, m = state.topology.cycle_size, state._frontier
+    kept = (np.abs(state._values[:, n : n + m + 1]) >= floor).any(axis=0)
+    sites = np.flatnonzero(kept)
+    keep = int(sites[-1]) if sites.size else 0
+    state._values[:, n + keep + 1 : n + m + 2] = 0.0
+    state._back[:, n + keep + 1 : n + m + 2] = 0.0
+    state._frontier = keep
+
+
+def last_live_site(m, last):
+    """None (no site at or above the floor), a site (clipped to m), or
+    (i, offset): the first site of the i-th window back from frontier m,
+    windows of 64, 128, 256, ... sites, or with offset -1 the site before
+    it, the last of the next window."""
+    if last is None:
+        return None
+    if isinstance(last, tuple):
+        i, offset = last
+        return max(m + 1 - 64 * (2**i - 1) + offset, 0)
+    return min(last, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    engine=st.sampled_from([WalkerState, ClassicalDistribution]),
+    m=st.integers(0, 1500),
+    floor=st.sampled_from([TINY, 1e-60, 1e-13]),
+    last=st.one_of(st.none(), st.integers(0, 1500),
+                   st.tuples(st.integers(1, 5), st.sampled_from([-1, 0]))),
+    others=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(engine=WalkerState, m=1000, floor=TINY, last=None, others=0, seed=1)
+@example(engine=WalkerState, m=1000, floor=1e-13, last=0, others=0, seed=2)
+@example(engine=ClassicalDistribution, m=1000, floor=1e-60, last=(3, 0), others=2, seed=3)
+@example(engine=WalkerState, m=1000, floor=TINY, last=(2, -1), others=0, seed=4)
+def test_windowed_cut_equals_a_whole_row_scan(engine, m, floor, last, others, seed):
+    n = 25
+    rng = np.random.default_rng(seed)
+    state = engine(LollipopTopology(n), m + 2)
+    rows = state._values.shape[0]
+    # every half-line value strictly below the floor, some of them zero
+    below = floor * rng.uniform(-0.999, 0.999, (rows, m + 1))
+    below[rng.random((rows, m + 1)) < 0.3] = 0.0
+    state._values[:, :n] = rng.standard_normal((rows, n))
+    state._values[:, n : n + m + 1] = below
+    state._back[:, : n + m + 2] = rng.standard_normal((rows, n + m + 2))
+    state._frontier = m
+    site = last_live_site(m, last)
+    if site is not None:
+        for live in [site] + list(rng.integers(0, site + 1, others)):
+            # at the floor exactly, or above it, in one component
+            state._values[rng.integers(rows), n + live] = (
+                rng.choice([-1.0, 1.0]) * floor * rng.choice([1.0, 1.5, 1e10]))
+    whole = engine(LollipopTopology(n), m + 2)
+    whole._values[:], whole._back[:] = state._values, state._back
+    whole._frontier = m
+    state._cut_tail(floor)
+    whole_row_cut(whole, floor)
+    assert state._frontier == whole._frontier == (site or 0)
+    assert state._values.tobytes() == whole._values.tobytes()
+    assert state._back.tobytes() == whole._back.tobytes()
