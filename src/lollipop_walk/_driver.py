@@ -4,14 +4,13 @@ Both walks live on the same graph and share one storage scheme: the graph
 unrolled into one row, with the n cycle nodes in columns 0..n-1 (column 0
 is the junction) and half-line site x in column n + x.  Away from the
 junction both walks are a nearest-neighbour stencil along that row, so one
-array pass per direction steps the cycle and the half-line together.  The
-half-line part grows geometrically ahead of the walker's frontier.  Steps run
-in blocks that end at each tail trim and before each growth, so that the
-buffer grows at the same frontiers step by step.  Every block is stepped
-through one loop, `_step_columns`, which builds the two kernels once and
-alternates them.  After t steps from a site at offset x the support cannot
-pass half-line site x + t, so a row that long would hold the infinite
-half-line exactly.
+array pass per direction steps the cycle and the half-line together.  Steps
+run in blocks bounded by time alone, to the next tail trim or the request's
+end.  Before a block the half-line part doubles until it holds the block's
+reach, and `_step_columns` steps the block, building the two kernels once
+and alternating them.  After t steps from a site at offset x the support
+cannot pass half-line site x + t, so a row that long would hold the
+infinite half-line exactly.
 
 Each kernel writes the next state times a gain under which the walk's
 probabilities double every step (sqrt(2) on quantum amplitudes, 2 on
@@ -68,8 +67,8 @@ _TINY = np.finfo(np.float64).tiny
 # quantum walk's two rows, 16 B for the classical walk's one, so after
 # doubling the half-line part stays near 640 MB and a cycle this size
 # 320 MB.  A quantum light-cone block at frontier m takes L FFT points,
-# the least 2**j or 3 * 2**j above about 1.25 m, and adds at most 64 B
-# per point for its transforms and its strip's walks: about 0.8 GB for
+# the least 2**j or 3 * 2**j above about 1.25 m, and adds at most 48 B
+# per point for its transforms and its strip's walks: about 0.6 GB for
 # the 3 * 2**22 points it may need here.  With tracemalloc, 10**6 steps
 # from cycle:12:R (n = 25) peaked at 71 MB: 32 MB of buffers (extent
 # 2**20) and about 38 B per point for the last blocks' 2**20 points.
@@ -106,7 +105,7 @@ class TwoBufferWalk:
     - `_CUT_FLOOR`: the value below which a trim cuts the tail (`tiny`
       unless the class sets its own).
 
-    `advance` is the only way to step.
+    `advance` is the only way to step, in blocks bounded by time alone.
     """
 
     _CUT_FLOOR = _TINY
@@ -153,12 +152,13 @@ class TwoBufferWalk:
     def reserve(self, min_extent: int) -> None:
         """Grow the half-line part so that `extent >= min_extent`.
 
-        Newly exposed sites hold exact zeros.  Growth is at least a doubling,
-        so repeated stepping stays amortized O(1) per site update.
+        Newly exposed sites hold exact zeros.  The extent doubles until it
+        holds the request, so stepping stays amortized O(1) per site update.
         """
         if min_extent <= self.extent:
             return
-        width = self.topology.cycle_size + max(2 * self.extent, min_extent) + 1
+        doublings = ((min_extent - 1) // self.extent).bit_length()
+        width = self.topology.cycle_size + (self.extent << doublings) + 1
         old = self._values
         self._values = np.zeros((old.shape[0], width))
         self._values[:, : old.shape[1]] = old
@@ -176,10 +176,9 @@ class TwoBufferWalk:
         n = self.topology.cycle_size
         while steps > 0:
             m = self._frontier
-            self.reserve(m + 2)
-            block = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD,
-                        self.extent - m - 1)
+            block = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD)
             # the block's last step reaches half-line site m + block
+            self.reserve(m + block + 1)
             self._step_columns(n + m + block + 1, block)
             self._frontier = m + block
             steps -= block
@@ -191,25 +190,21 @@ class TwoBufferWalk:
         return 2.0 ** -(self.time % _TRIM_PERIOD)
 
     def _step_columns(self, width: int, steps: int) -> None:
-        """Take `steps` steps with the kernel over columns [0, width), and at
-        each trim boundary remove the row's gain from columns [0, width],
-        an exact power of two."""
+        """Take `steps` steps with the kernel over columns [0, width); the
+        steps end at or before the next trim boundary, and there the row's
+        gain, an exact power of two, is removed from columns [0, width]."""
         forward = self._kernel(self._values, self._back, width)
         backward = self._kernel(self._back, self._values, width)
-        while steps > 0:
-            run = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD)
-            for _ in range(run // 2):
-                forward()
-                backward()
-            if run % 2:
-                forward()
-                self._values, self._back = self._back, self._values
-                forward, backward = backward, forward
-            self.time += run
-            steps -= run
-            if self.time % _TRIM_PERIOD == 0:
-                live = self._values[:, : width + 1]
-                np.multiply(live, self._TRIM_RENORM, live)  # `*=` on a slice copies it back
+        for _ in range(steps // 2):
+            forward()
+            backward()
+        if steps % 2:
+            forward()
+            self._values, self._back = self._back, self._values
+        self.time += steps
+        if self.time % _TRIM_PERIOD == 0:
+            live = self._values[:, : width + 1]
+            np.multiply(live, self._TRIM_RENORM, live)  # `*=` on a slice copies it back
 
     def _cut_tail(self, floor: float) -> None:
         """Move the frontier back to the last half-line site where some

@@ -22,16 +22,17 @@ set from the frontier m by `_light_cone_block`.  `_free_steps` moves the
 old half-line into sites K + 1 .. m + K by the free walk's K-step symbol
 between one rfft/irfft pair over L >= m + 2K + 2 points, so that nothing
 wraps around; `_fft_points` takes the least such L of the form 2**j or
-3 * 2**j, and each size's K-independent part of the symbol is tabled.  `_advance_strip` advances the cycle and sites 0..K, which
-read only sites up to 2K, as a walk of its own truncated past site
-2K + 2, which takes blocks too; a 64-step strip is one product with
-`_build_strip_map`'s matrix.  The tail is then cut at the block's bound
-in place of `tiny`.  `_driver.run_walk` advances one snapshot interval
-at a time, so blocks never cross a snapshot time, and extra snapshot
-times split blocks and can move results within the bound below.  The
-classical walk keeps single steps: its tail spans dozens of decades
-below the peak, and an FFT's absolute round-off, about 1e-17 of the
-peak, would erase the relative accuracy of every value printed there.
+3 * 2**j, and each size's K-independent part of the symbol is tabled.
+`_advance_strip` advances the cycle and sites 0..K, which read only sites
+up to 2K, as a walk of its own truncated past site 2K + 2, which takes
+blocks too; a 64-step strip is one product with `_build_strip_map`'s
+matrix.  The tail is then cut at the block's bound in place of `tiny`.
+`_driver.run_walk` advances one snapshot interval at a time, so blocks
+never cross a snapshot time, and extra snapshot times split blocks and
+can move results within the bound below.  The classical walk keeps
+single steps: its tail spans dozens of decades below the peak, and an
+FFT's absolute round-off, about 1e-17 of the peak, would erase the
+relative accuracy of every value printed there.
 
 A block of K steps over L FFT points is within `_block_error(K, L)`,
 
@@ -369,7 +370,7 @@ class WalkerState(_driver.TwoBufferWalk):
     def _advance_strip(self, steps):
         """Advance the cycle and half-line sites 0..steps by `steps` steps
         as the module docstring says; sites past `steps` are left stale."""
-        n, m = self.topology.cycle_size, self._frontier
+        n = self.topology.cycle_size
         product = _strip_map(n) if steps == _driver._TRIM_PERIOD else None
         if product is not None:
             matrix, _ = product
@@ -378,7 +379,8 @@ class WalkerState(_driver.TwoBufferWalk):
                 matrix @ self._values[:, :inputs].ravel()
             ).reshape(self._COMPONENTS, -1)
         else:
-            sites = min(m, 2 * steps + 2)
+            # K <= self._frontier // _BLOCK_SHARE, so the frontier is >= 2K + 2
+            sites = 2 * steps + 2
             # sized for its last frontier, sites + steps, so that it never grows
             strip = type(self)(self.topology, sites + steps + 2)
             strip.time, strip._frontier = self.time, sites

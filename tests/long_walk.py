@@ -8,13 +8,13 @@ the strips step without the strip map.
 Checks that the norm stays within the nested bound `quantum` states, over
 the blocks and strip products this walk took, that the tracemalloc peak
 stays under the figure `_driver` documents at MAX_HALFLINE_SITES: 32 B
-per buffer column and 64 B per FFT point of the largest block, with each
+per buffer column and 48 B per FFT point of the largest block, with each
 block's points taken from the engine's own size function, and that some
 block took a size of 3 * 2**j points.  Runs
 in about 15 s at n = 25 and 25 s at n = 129 (tracemalloc slows it down
 about twofold), so it is not part of the suite:
 
-    PYTHONPATH=src:tests python tests/long_walk.py [n]
+    PYTHONPATH=src:tests python -W error tests/long_walk.py [n]
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def main(cycle_size: int = 25) -> int:
     # summation rounding
     bound = STEPS * 2.0**-52 + sum(budget) + walk._values.size * 2.0**-53
     drift = abs(walk.norm() - 1.0)
-    limit = 32 * walk._values.shape[1] + 64 * max(points)
+    limit = 32 * walk._values.shape[1] + 48 * max(points)
     threes = sum(p % 3 == 0 for p in points)
     print(f"n = {cycle_size}, {STEPS} steps in {seconds:.1f} s under tracemalloc: "
           f"{len(points)} blocks, strips {budget.depth} deep, "

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lollipop_walk import _driver
+from lollipop_walk import _driver, quantum
 from lollipop_walk import (
     Coin,
     CycleNode,
@@ -19,6 +19,7 @@ from lollipop_walk import (
 )
 
 from conftest import no_light_cone_blocks
+from test_light_cone import record_blocks
 
 N = 7
 
@@ -211,10 +212,10 @@ def test_advance_is_refused_past_the_size_limit_before_stepping(
     assert walk.time == 98
 
 
-# Steps run in blocks that end at every tail trim (each 64 steps) and before
-# every buffer growth.  A window of CHUNK_STEPS from t = 0 spans four trims
-# and several growths; from DEEP_START the trims cut the underflowed
-# half-line tail of both walks.
+# Steps run in blocks that end at every tail trim (each 64 steps), and the
+# buffer doubles to hold each block.  A window of CHUNK_STEPS from t = 0
+# spans four trims and several growths; from DEEP_START the trims cut the
+# underflowed half-line tail of both walks.
 CHUNK_STEPS = 300
 DEEP_START = 2496
 
@@ -268,6 +269,54 @@ def test_advance_in_chunks_equals_single_steps_bit_for_bit(model, region, data):
             assert chunked._values.tobytes() == single._values.tobytes()
     assert trims >= 2
     assert start or len(extents) >= 3  # two growths at least
+
+
+@pytest.mark.parametrize("model, extent", [("quantum", 1024), ("classical", 512)])
+def test_blocks_end_only_at_trims_not_at_growths(model, extent):
+    launch, _ = LAUNCHES[model]
+    walk = launch(LollipopTopology(N), CycleNode(0))
+    kernel, widths = type(walk)._kernel, []
+
+    def counting_kernel(state, values, new, width):
+        widths.append(width)
+        return kernel(state, values, new, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        no_light_cone_blocks(patch)
+        patch.setattr(type(walk), "_kernel", counting_kernel)
+        walk.advance(640)
+    # one block per trim period, two kernels each, though the buffer grew
+    # nine times (quantum) or eight (classical) on the way
+    assert len(widths) == 2 * 640 // 64
+    assert walk.extent == extent
+
+
+@pytest.mark.parametrize("strip_map", [True, False])
+@pytest.mark.parametrize("region", ["cycle", "junction", "half"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_no_stepped_run_crosses_a_trim_boundary(region, strip_map, data):
+    walk, start, chunks = data.draw(chunked_launches("quantum", region))
+    step_columns, runs = _driver.TwoBufferWalk._step_columns, []
+
+    def recording_step_columns(state, width, steps):
+        runs.append((state.time, steps))
+        step_columns(state, width, steps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_driver.TwoBufferWalk, "_step_columns", recording_step_columns)
+        if strip_map:
+            # the map's build steps columns too; its cache would hide the calls
+            quantum._build_strip_map.__wrapped__(walk.topology.cycle_size)
+        else:
+            # strips step, and from K = 128 take blocks of their own
+            patch.setattr(quantum, "_strip_map", lambda cycle_size: None)
+            patch.setattr(quantum, "_BLOCK_SHARE", 3)
+        budget = record_blocks(patch)
+        for count in [start] + chunks:
+            walk.advance(count)
+    assert runs and all(time % 64 + steps <= 64 for time, steps in runs)
+    assert not start or budget.depth >= 1 + (not strip_map)
 
 
 # --- the classical walk against a plain copy of its half-split rule ---------
