@@ -68,7 +68,7 @@ _TINY = np.finfo(np.float64).tiny
 # doubling the half-line part stays near 640 MB and a cycle this size
 # 320 MB.  A quantum light-cone block at frontier m takes L FFT points,
 # the least 2**j or 3 * 2**j above about 1.25 m, and adds at most 48 B
-# per point for its transforms and its strip's walks: about 0.6 GB for
+# per point for its transforms and the rows they move: about 0.6 GB for
 # the 3 * 2**22 points it may need here.  With tracemalloc, 10**6 steps
 # from cycle:12:R (n = 25) peaked at 71 MB: 32 MB of buffers (extent
 # 2**20) and about 38 B per point for the last blocks' 2**20 points.
@@ -224,10 +224,14 @@ class TwoBufferWalk:
             if sites.size or not start:
                 break
             end, window = start, 2 * window
-        keep = start + int(sites[-1]) if sites.size else 0
-        self._values[:, n + keep + 1 : n + m + 2] = 0.0
-        self._back[:, n + keep + 1 : n + m + 2] = 0.0
-        self._frontier = keep
+        self._truncate(start + int(sites[-1]) if sites.size else 0)
+
+    def _truncate(self, site: int) -> None:
+        """Move the frontier back to `site` and zero both buffers past it."""
+        n, m = self.topology.cycle_size, self._frontier
+        for buffer in (self._values, self._back):
+            buffer[:, n + site + 1 : n + m + 2] = 0.0
+        self._frontier = site
 
 
 def _is_integer(value) -> bool:

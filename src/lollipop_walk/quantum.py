@@ -23,8 +23,8 @@ old half-line into sites K + 1 .. m + K by the free walk's K-step symbol
 between one rfft/irfft pair over L >= m + 2K + 2 points, so that nothing
 wraps around; `_fft_points` takes the least such L of the form 2**j or
 3 * 2**j, and each size's K-independent part of the symbol is tabled.
-`_advance_strip` advances the cycle and sites 0..K, which read only sites
-up to 2K, as a walk of its own truncated past site 2K + 2, which takes
+`_advance_strip` steps the cycle and sites 0..K, which read only sites up
+to 2K, on the walk itself truncated past site 2K + 2, so that it takes
 blocks too; a 64-step strip is one product with `_build_strip_map`'s
 matrix.  The tail is then cut at the block's bound in place of `tiny`.
 `_driver.run_walk` advances one snapshot interval at a time, so blocks
@@ -369,7 +369,8 @@ class WalkerState(_driver.TwoBufferWalk):
 
     def _advance_strip(self, steps):
         """Advance the cycle and half-line sites 0..steps by `steps` steps
-        as the module docstring says; sites past `steps` are left stale."""
+        as the module docstring says; sites past `steps`, up to 3 * steps
+        + 2, and the frontier are left stale for the block to overwrite."""
         n = self.topology.cycle_size
         product = _strip_map(n) if steps == _driver._TRIM_PERIOD else None
         if product is not None:
@@ -378,16 +379,11 @@ class WalkerState(_driver.TwoBufferWalk):
             self._values[:, : n + steps + 1] = (
                 matrix @ self._values[:, :inputs].ravel()
             ).reshape(self._COMPONENTS, -1)
+            self.time += steps
         else:
             # K <= self._frontier // _BLOCK_SHARE, so the frontier is >= 2K + 2
-            sites = 2 * steps + 2
-            # sized for its last frontier, sites + steps, so that it never grows
-            strip = type(self)(self.topology, sites + steps + 2)
-            strip.time, strip._frontier = self.time, sites
-            strip._values[:, : n + sites + 1] = self._values[:, : n + sites + 1]
-            strip._advance(steps)
-            self._values[:, : n + steps + 1] = strip._values[:, : n + steps + 1]
-        self.time += steps
+            self._truncate(2 * steps + 2)
+            self._advance(steps)
 
     @staticmethod
     def _free_steps(rows, steps):

@@ -44,7 +44,10 @@ def main(cycle_size: int = 25) -> int:
     tracemalloc.start()
     start = time.perf_counter()
     with pytest.MonkeyPatch.context() as patch:
-        budget = record_blocks(patch)
+        # its strips share buffers of 2**20 columns: scanning their tails
+        # after every cut and strip found them zero but made the run six
+        # times as long (84 s against 14 s at n = 25)
+        budget = record_blocks(patch, check_tails=False)
         patch.setattr(quantum, "_fft_points", recording_fft_points)
         walk.advance(STEPS)
     seconds = time.perf_counter() - start

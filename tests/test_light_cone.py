@@ -2,10 +2,13 @@
 line's closed-form K-step symbol against an impulse stepped in long double,
 the 64-step strip map against stepping, block advancing (recursive, with
 and without the strip map, and at the engine's own constants on a cycle
-past the strip map's size limit) against block-free stepping within the
-nested bound `quantum` states, the size limits of the symbol and strip-map
-caches, and the long benchmark fixture and a long `run` against block-free
-stepping.  The block-free references run `_driver`'s shared loop alone
+past the strip map's size limit, and from deep half-line launches) against
+block-free stepping within the nested bound `quantum` states, with the
+zero tail past the frontier after every cut and strip; strips that step
+on the walk itself, constructing none; the size limits of the symbol and
+strip-map caches and bits that do not depend on them; and the long
+benchmark fixture and a long `run` against block-free stepping.  The
+block-free references run `_driver`'s shared loop alone
 (`conftest.no_light_cone_blocks`)."""
 
 import csv
@@ -135,11 +138,21 @@ class Budget(list):
     level = depth = 0
 
 
-def record_blocks(patch):
+def assert_zero_past_frontier(state):
+    """Both buffers of `state` hold +0.0, sign bit clear, past half-line
+    site `_frontier + 1`, as the kernels require."""
+    past = state.topology.cycle_size + state._frontier + 2
+    for rows in (state._values, state._back):
+        assert rows[:, past:].view(np.uint64).max(initial=0) == 0
+
+
+def record_blocks(patch, check_tails=True):
     """Make every light-cone block, at every depth of strips, append its
     share of the stated bound to the returned list: eps(K, L) + sqrt(what
     its cut discarded), and the strip map's bound for a strip taken in one
-    product.  The list's `depth` attribute ends as the deepest strip."""
+    product.  The list's `depth` attribute ends as the deepest strip.
+    With `check_tails`, every tail cut and every strip must leave both
+    buffers +0.0 past the frontier."""
     budget = Budget()
     cut = _driver.TwoBufferWalk._cut_tail
     strip = WalkerState._advance_strip
@@ -148,6 +161,8 @@ def record_blocks(patch):
         n, m = state.topology.cycle_size, state._frontier
         before = state._values[:, n : n + m + 1].copy()
         cut(state, floor)
+        if check_tails:
+            assert_zero_past_frontier(state)
         if floor > state._CUT_FLOOR:  # a block's cut, at gain 1
             budget.append(floor + math.sqrt(np.sum(before[:, state._frontier + 1 :] ** 2)))
 
@@ -158,6 +173,8 @@ def record_blocks(patch):
         budget.level += 1
         budget.depth = max(budget.depth, budget.level)
         strip(state, steps)
+        if check_tails:
+            assert_zero_past_frontier(state)
         budget.level -= 1
 
     patch.setattr(_driver.TwoBufferWalk, "_cut_tail", recording_cut)
@@ -189,9 +206,7 @@ def agrees_within_the_stated_bound(walk, chunked, steps, budget):
     """Check `walk`, advanced `steps` steps in the blocks `budget` records,
     against `chunked`, the same launch in block-free chunks."""
     for state in (walk, chunked):
-        past = state.topology.cycle_size + state._frontier + 2
-        for rows in (state._values, state._back):
-            assert not np.any(rows[:, past:]) and not np.any(np.signbit(rows[:, past:]))
+        assert_zero_past_frontier(state)
     bound = stated_bound(steps, budget)
     sites = max(walk.extent, chunked.extent)
     mine, want = amplitudes(walk, sites), amplitudes(chunked, sites)
@@ -290,24 +305,88 @@ def test_moved_strip_map_columns_equal_stepped_ones_bit_for_bit(n):
     assert np.array_equal(np.signbit(matrix), np.signbit(want))
 
 
-def test_stepped_strips_past_the_strip_map_limit_agree_with_chunked_steps():
-    # the engine's own constants on a cycle one node past the strip map's
-    # size limit: no map is built, blocks start at frontier 512 and their
-    # strips step, down to 64-step strips of 130 sites that take no block
+def engine_blocks_within_the_stated_bound(walk, steps):
+    """Advance `walk` by `steps` in one call at the engine's own constants
+    and check it against block-free chunks within the nested bound; return
+    the record of the blocks taken.  A cycle past the strip map's size
+    limit must build no map."""
     def refuse(cycle_size):
         raise AssertionError("built a strip map past the size limit")
 
-    n = quantum._STRIP_MAP_MAX_CYCLE + 1
-    steps = 20000
-    walk = make_basis_state(LollipopTopology(n), CycleNode(n // 2), Coin.RIGHT)
     chunked = walk.copy()
     advance_in_chunks(chunked, steps)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quantum, "_build_strip_map", refuse)
+        if walk.topology.cycle_size > quantum._STRIP_MAP_MAX_CYCLE:
+            patch.setattr(quantum, "_build_strip_map", refuse)
         budget = record_blocks(patch)
         walk.advance(steps)
     agrees_within_the_stated_bound(walk, chunked, steps, budget)
-    assert budget.depth >= 2
+    return budget
+
+
+def test_stepped_strips_past_the_strip_map_limit_agree_with_chunked_steps():
+    # the engine's own constants on a cycle one node past the strip map's
+    # size limit: no map is built, blocks start at frontier 512 and their
+    # strips step, down to 64-step strips of 130 sites that take no block;
+    # from half-line site 2000 blocks start at the first step, and every
+    # strip starts empty until the inward wave reaches the junction
+    n = quantum._STRIP_MAP_MAX_CYCLE + 1
+    topology = LollipopTopology(n)
+    for site, coin, steps, depth in ((CycleNode(n // 2), Coin.RIGHT, 20000, 2),
+                                     (HalfLineNode(2000), Coin.DOWN, 5000, 3)):
+        walk = make_basis_state(topology, site, coin)
+        budget = engine_blocks_within_the_stated_bound(walk, steps)
+        assert budget.depth >= depth
+
+
+@pytest.mark.parametrize("coin, steps", [(Coin.DOWN, 6000), (Coin.UP, 4000)])
+def test_deep_half_line_launches_agree_with_chunked_steps(coin, steps):
+    # blocks and one-product strips from the first step: every strip
+    # starts empty and fills only once the inward wave reaches the junction
+    walk = make_basis_state(LollipopTopology(25), HalfLineNode(3000), coin)
+    budget = engine_blocks_within_the_stated_bound(walk, steps)
+    assert budget.depth >= 3
+
+
+def test_light_cone_blocks_construct_no_walk(monkeypatch):
+    # every strip steps on the walk itself: none builds a walk of its own
+    quantum._build_strip_map(25)  # the map's build steps a walk of its own
+    constructed = []
+    init = _driver.TwoBufferWalk.__init__
+
+    def counting_init(state, *args, **kwargs):
+        constructed.append(type(state))
+        init(state, *args, **kwargs)
+
+    n = quantum._STRIP_MAP_MAX_CYCLE + 1
+    walks = [(make_basis_state(LollipopTopology(25), CycleNode(12), Coin.RIGHT), 20000),
+             (make_basis_state(LollipopTopology(n), CycleNode(n // 2), Coin.RIGHT), 6000)]
+    budget = record_blocks(monkeypatch)
+    monkeypatch.setattr(_driver.TwoBufferWalk, "__init__", counting_init)
+    for walk, steps in walks:
+        walk.advance(steps)
+    assert budget.depth >= 2  # blocks whose strips stepped
+    assert constructed == []
+
+
+def test_caches_leave_the_bits_as_they_find_them():
+    # a walk with every cache cold and the same walk with all of them warm
+    caches = (quantum._cached_symbol, quantum._cached_table, quantum._build_strip_map)
+    for cache in caches:
+        cache.cache_clear()
+
+    def advanced():
+        walk = make_basis_state(LollipopTopology(25), CycleNode(12), Coin.RIGHT)
+        walk.advance(30000)
+        return walk
+
+    cold = advanced()
+    misses = [cache.cache_info().misses for cache in caches]
+    warm = advanced()
+    assert all(misses)  # the first walk filled each cache and the second missed none
+    assert [cache.cache_info().misses for cache in caches] == misses
+    assert cold._values.tobytes() == warm._values.tobytes()
+    assert (cold._frontier, cold.extent) == (warm._frontier, warm.extent)
 
 
 def test_blocks_off_takes_no_strip_map_and_no_strip(monkeypatch):
