@@ -70,8 +70,9 @@ _TINY = np.finfo(np.float64).tiny
 # the least 2**j or 3 * 2**j above about 1.25 m, and adds at most 48 B
 # per point for its transforms and the rows they move: about 0.6 GB for
 # the 3 * 2**22 points it may need here.  With tracemalloc, 10**6 steps
-# from cycle:12:R (n = 25) peaked at 71 MB: 32 MB of buffers (extent
-# 2**20) and about 38 B per point for the last blocks' 2**20 points.
+# from cycle:12:R (n = 25) peaked at 69.4 MB: 32 MB of buffers (extent
+# 2**20), 1.3 MB of kept symbols and about 36 B per point for the last
+# blocks' 2**20 points.
 MAX_HALFLINE_SITES = 10**7
 
 

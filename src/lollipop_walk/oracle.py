@@ -158,9 +158,8 @@ def compare_step(
     launch_offset + steps < x_max - 1.  The operator is built, and so its
     size checked, before the engine takes a step.
     """
+    _check_index(steps, "steps", 0)
     offset = site.index if isinstance(site, HalfLineNode) else 0
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     if offset + steps >= x_max - 1:
         raise ValueError(
             f"support could reach the truncation edge: need launch offset + steps"

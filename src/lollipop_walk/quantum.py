@@ -22,7 +22,7 @@ set from the frontier m by `_light_cone_block`.  `_free_steps` moves the
 old half-line into sites K + 1 .. m + K by the free walk's K-step symbol
 between one rfft/irfft pair over L >= m + 2K + 2 points, so that nothing
 wraps around; `_fft_points` takes the least such L of the form 2**j or
-3 * 2**j, and each size's K-independent part of the symbol is tabled.
+3 * 2**j, and the symbols of sizes up to `_SYMBOL_CACHE_POINTS` are kept.
 `_advance_strip` steps the cycle and sites 0..K, which read only sites up
 to 2K, on the walk itself truncated past site 2K + 2, so that it takes
 blocks too; a 64-step strip is one product with `_build_strip_map`'s
@@ -120,42 +120,25 @@ def _even_about_quarter(values, out):
     out[values.size :] = values[-2::-1]
 
 
-def _symbol_table(points):
-    """The K-independent arrays of `_free_symbol` over `points` FFT points:
-    sin k, w = arcsin(sin k / sqrt(2)) and sqrt(2 - sin**2 k) at the
-    rfft's frequencies k up to pi/2 (all three are even about pi/2), and
-    cos k at all of them."""
+def _free_symbol(steps, points):
+    """(b, e) of `_apply_free_symbol` for `steps` steps over `points` FFT
+    points, at the rfft's frequencies k.  sin k, w = arcsin(sin k /
+    sqrt(2)) and sqrt(2 - sin**2 k) are even about pi/2, so they are taken
+    on [0, pi/2] alone; each array is dropped once it is used."""
     k = np.arange(points // 2 + 1) * (2 * math.pi / points)
     sin_k = np.sin(k[: points // 4 + 1])
     w, root = np.arcsin(sin_k / math.sqrt(2)), np.sqrt(2 - sin_k * sin_k)
-    return sin_k, w, root, np.cos(k, out=k)
-
-
-# Tables are kept for every size up to this, 10 B per point: for the sizes
-# 2**j and 3 * 2**j up to 2**16, 2.3 MB in all.  A larger size is built
-# in its block and freed with it, so a long walk holds no table on the
-# scale of its largest transforms.
-_TABLE_CACHE_POINTS = 1 << 16
-_cached_table = functools.lru_cache(maxsize=None)(_symbol_table)
-
-
-def _free_symbol(steps, points):
-    """(b, e) of `_apply_free_symbol` for `steps` steps over `points` FFT
-    points, at the rfft's frequencies k.  Each array is dropped once it is
-    used, so that an uncached table goes while the symbol is built."""
-    table = _cached_table if points <= _TABLE_CACHE_POINTS else _symbol_table
-    sin_k, w, root, cos_k = table(points)
     angle = steps * w  # K w
     s = np.sin(angle)
     s /= root  # sin(K w) / (sqrt(2) cos w)
     minus_real = -s * sin_k
     del w, root, sin_k
-    e = np.empty(cos_k.size, complex)
+    e = np.empty(k.size, complex)
     _even_about_quarter(minus_real, e.real)
     _even_about_quarter(s, e.imag)
     del s
-    np.multiply(e.imag, cos_k, e.imag)
-    del cos_k
+    np.multiply(e.imag, np.cos(k, out=k), e.imag)
+    del k
     # cos((K-1) w) / cos w = cos(K w) + sin(K w) tan w
     np.cos(angle, out=angle)
     angle -= minus_real
@@ -164,15 +147,17 @@ def _free_symbol(steps, points):
     return b, e
 
 
-# Small blocks repeat the same (K, L) many times, so their symbols are
-# kept: 300 000 steps from cycle:12:R (n = 25) took 5 934 of their 6 496
-# symbols from its 14 entries, and 548 had more points and were computed
-# in their block, 529 of them from the 16 tables kept.  A block takes
+# Blocks repeat the same (K, L) many times, so the symbols of sizes up to
+# this are kept, 12 B per point.  From cycle:12:R (n = 25), 20 000 steps
+# asked for 409 symbols and took 400 through 22 entries (1.0 MB), and
+# 300 000 steps for 6 496, 6 207 of them through 25 entries (1.3 MB); the
+# rest had more points and were computed in their block.  A block takes
 # K <= m / 8 over L >= m + 2K + 2 points, so K <= (L - 2) / 10, a
-# multiple of 64, or K = 64 from a strip map: at most L / 640 + 1 values
-# of K for each size L up to this, under 1 MB in all; keeping larger
-# symbols would hold memory on the scale of the largest block's transform.
-_SYMBOL_CACHE_POINTS = 4096
+# multiple of 64, or K = 64 from a strip map: at most L // 640 + 1 values
+# of K for each size L up to this, 2.6 MiB in all.  Kept only up to 4096
+# points, the symbols took a 20 000-step walk twice as long (4.1 ms against
+# 2.3 on a 2-vCPU Xeon host); kept up to 2**14, they could take 10 MiB.
+_SYMBOL_CACHE_POINTS = 8192
 _cached_symbol = functools.lru_cache(maxsize=None)(_free_symbol)
 
 
@@ -199,11 +184,7 @@ def _apply_free_symbol(spectra, steps):
         down, up = spectra[:, part]
         total, diff = down + up, up - down
         np.multiply(total, e[part], total)
-        # conj(e) x = conj(e conj(x)): a cached e is shared, so only the
-        # temporary is conjugated
-        np.conj(diff, diff)
-        np.multiply(diff, e[part], diff)
-        np.conj(diff, diff)
+        np.multiply(diff, np.conj(e[part]), diff)
         for row, mixed in ((down, total), (up, diff)):
             np.multiply(row, b[part], row)
             np.add(row, mixed, row)

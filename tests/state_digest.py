@@ -16,7 +16,7 @@ of `advance`.  The walks are
   5 * 10**4 and 10**5.
 
 A light-cone block's last bits depend on numpy's FFT, so compare digests
-taken with the same numpy on the same CPU.  Runs in about 10 s, outside
+taken with the same numpy on the same CPU.  Runs in about 4 s, outside
 the suite:
 
     PYTHONPATH=src python3 tests/state_digest.py

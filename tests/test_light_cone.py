@@ -80,8 +80,8 @@ def test_fft_points_is_the_least_admissible_size():
 
 
 def reference_symbol(steps, points):
-    """The K-step symbol computed whole, without tables: the formula the
-    tables split up."""
+    """The K-step symbol computed whole, on every frequency at once: the
+    formula `_free_symbol` takes in parts."""
     k = np.arange(points // 2 + 1) * (2 * math.pi / points)
     sin_k = np.sin(k[: points // 4 + 1])
     sin_k = np.concatenate((sin_k, sin_k[-2::-1]))  # even about k = pi / 2
@@ -93,10 +93,10 @@ def reference_symbol(steps, points):
     return np.cos(angle) - e.real, e
 
 
-@pytest.mark.parametrize("points", [384, 512, 1536, 4096, 6144, 3 << 15, 1 << 17])
+@pytest.mark.parametrize("points", [384, 512, 1536, 4096, 6144, 8192, 12288, 3 << 15, 1 << 17])
 @pytest.mark.parametrize("steps", [64, 576, 12288])
 def test_symbols_from_tables_equal_the_whole_formula_bit_for_bit(steps, points):
-    # sizes on both sides of the table cache's limit, 2**16
+    # sizes on both sides of the symbol cache's limit, 8192
     for got, want in zip(quantum._free_symbol(steps, points),
                          reference_symbol(steps, points)):
         assert got.tobytes() == want.tobytes()
@@ -371,7 +371,7 @@ def test_light_cone_blocks_construct_no_walk(monkeypatch):
 
 def test_caches_leave_the_bits_as_they_find_them():
     # a walk with every cache cold and the same walk with all of them warm
-    caches = (quantum._cached_symbol, quantum._cached_table, quantum._build_strip_map)
+    caches = (quantum._cached_symbol, quantum._build_strip_map)
     for cache in caches:
         cache.cache_clear()
 
@@ -402,26 +402,17 @@ def test_blocks_off_takes_no_strip_map_and_no_strip(monkeypatch):
 
 
 def test_only_small_symbols_are_cached():
+    assert quantum._SYMBOL_CACHE_POINTS == 8192
     quantum._cached_symbol.cache_clear()
-    # 128 steps from 1001 sites take 1536 FFT points, from 4000 sites 6144
-    for sites in (1001, 1001, 4000):
+    # 128 steps from 1001 sites take 1536 FFT points, from 4000 sites 6144,
+    # from 7933 sites 8192 and from 10 000 sites 12 288
+    for sites in (1001, 1001, 4000, 4000, 7933, 10000, 10000):
         WalkerState._free_steps(np.zeros((2, sites)), 128)
     info = quantum._cached_symbol.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+    assert (info.currsize, info.hits, info.misses) == (3, 2, 3)
     # the blocks left the shared symbol as they found it
     for kept, fresh in zip(quantum._cached_symbol(128, 1536), quantum._free_symbol(128, 1536)):
         assert np.array_equal(kept, fresh)
-
-
-def test_only_tables_up_to_the_limit_are_cached():
-    limit = quantum._TABLE_CACHE_POINTS
-    quantum._cached_table.cache_clear()
-    for points in (384, limit, 3 * limit // 2, 2 * limit):
-        quantum._free_symbol(64, points)
-    assert quantum._cached_table.cache_info().currsize == 2
-    # the symbols left the shared tables as they found them
-    for kept, fresh in zip(quantum._cached_table(limit), quantum._symbol_table(limit)):
-        assert kept.tobytes() == fresh.tobytes()
 
 
 def test_long_fixture_agrees_with_chunked_steps(topology25, quantum_cycle12):

@@ -198,6 +198,17 @@ def test_compare_step_rejects_edge_contact():
         compare_step(topo, 10, -1)
 
 
+@pytest.mark.parametrize("steps,message", [
+    (3.0, "must be an integer"), (2.5, "must be an integer"),
+    (float("nan"), "must be an integer"), (-1, "must be >= 0"), ("3", "must be an integer"),
+])
+def test_compare_step_rejects_a_bad_step_count_before_building(monkeypatch, steps, message):
+    for name in ("build_dense_unitary", "make_basis_state"):
+        monkeypatch.setattr(oracle, name, refuse_to_allocate)
+    with pytest.raises(ValueError, match=f"steps {message}"):
+        compare_step(LollipopTopology(5), 10, steps)
+
+
 def test_compare_step_independent_of_growth_schedule():
     # identical answers whether or not the engine pre-grows its buffers;
     # see also test_quantum.test_reserve_does_not_change_the_walk
