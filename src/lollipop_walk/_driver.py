@@ -42,8 +42,8 @@ untrimmed one by at most the sum of the norms the trims discarded: for
 the classical walk, the sum over trims of 1e-60 times the sites cut, far
 below any printed mass.
 
-The quantum walk also takes light-cone blocks, which `quantum` describes
-and runs around this loop.
+The quantum walk also takes light-cone blocks, which `quantum` describes:
+its `_block` takes one where admitted and the shared block elsewhere.
 
 The engine classes are the only code that knows where a (site, coin) value
 is stored; everything else reads a walk through its accessors and
@@ -106,7 +106,9 @@ class TwoBufferWalk:
     - `_CUT_FLOOR`: the value below which a trim cuts the tail (`tiny`
       unless the class sets its own).
 
-    `advance` is the only way to step, in blocks bounded by time alone.
+    `advance` is the only way to step, through one block loop; `_block`,
+    one block bounded by time alone, is the one step a subclass may
+    override with blocks of its own.
     """
 
     _CUT_FLOOR = _TINY
@@ -172,19 +174,22 @@ class TwoBufferWalk:
         self._advance(steps)
 
     def _advance(self, steps: int) -> None:
-        """The block loop behind `advance`: blocks that end at each trim
-        boundary, which a subclass may interleave with blocks of its own."""
-        n = self.topology.cycle_size
+        """The only block loop, behind `advance`: `_block` takes each block."""
         while steps > 0:
-            m = self._frontier
-            block = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD)
-            # the block's last step reaches half-line site m + block
-            self.reserve(m + block + 1)
-            self._step_columns(n + m + block + 1, block)
-            self._frontier = m + block
-            steps -= block
-            if self.time % _TRIM_PERIOD == 0:
-                self._cut_tail(self._CUT_FLOOR)
+            steps -= self._block(steps)
+
+    def _block(self, steps: int) -> int:
+        """Step one block of at most `steps` steps, to the next trim
+        boundary, trimming there, and return its length."""
+        n, m = self.topology.cycle_size, self._frontier
+        block = min(steps, _TRIM_PERIOD - self.time % _TRIM_PERIOD)
+        # the block's last step reaches half-line site m + block
+        self.reserve(m + block + 1)
+        self._step_columns(n + m + block + 1, block)
+        self._frontier = m + block
+        if self.time % _TRIM_PERIOD == 0:
+            self._cut_tail(self._CUT_FLOOR)
+        return block
 
     def _scale(self) -> float:
         """Factor that turns the row's gained probabilities into true ones."""

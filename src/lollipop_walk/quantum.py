@@ -18,7 +18,7 @@ and K steps on carry half-line site y > K only from old half-line sites
 within K of it, none of them the junction.  So from a frontier of 129
 sites (512 on a cycle of more than `_STRIP_MAP_MAX_CYCLE` nodes) the walk
 advances on each trim boundary in light-cone blocks of K steps, with K
-set from the frontier m by `_light_cone_block`.  `_free_steps` moves the
+set from the frontier m by `WalkerState._block`.  `_free_steps` moves the
 old half-line into sites K + 1 .. m + K by the free walk's K-step symbol
 between one rfft/irfft pair over L >= m + 2K + 2 points, so that nothing
 wraps around; `_fft_points` takes the least such L of the form 2**j or
@@ -311,41 +311,30 @@ class WalkerState(_driver.TwoBufferWalk):
         halfline[0] = 0.0
         return cycle, halfline
 
-    def _advance(self, steps):
-        """The block loop behind `advance`: a light-cone block wherever
-        `_light_cone_block` admits one, else the shared loop up to the
-        next trim boundary.  A block's strip runs it too."""
-        n, period = self.topology.cycle_size, _driver._TRIM_PERIOD
-        while steps > 0:
-            block = self._light_cone_block(steps)
-            if block:
-                m = self._frontier
-                moved, floor = self._free_steps(self._values[:, n : n + m + 1], block)
-                self.reserve(m + block + 2)
-                self._advance_strip(block)
-                # `moved` holds sites block + 1 .. m + block
-                self._values[:, n + block + 1 : n + m + block + 1] = moved
-                del moved  # before the next block's transforms allocate
-                self._frontier = m + block
-                self._cut_tail(floor)
-            else:
-                block = min(steps, period - self.time % period)
-                super()._advance(block)
-            steps -= block
-
-    def _light_cone_block(self, steps):
-        """Steps of a light-cone block to take now, or 0 for none."""
+    def _block(self, steps):
+        """Take a light-cone block where one is admitted on a trim boundary,
+        else the shared engine's block; return its length.  A block's strip
+        runs the block loop too."""
         period = _driver._TRIM_PERIOD
         if self.time % period:
-            return 0
-        m = self._frontier
+            return super()._block(steps)
+        n, m = self.topology.cycle_size, self._frontier
         block = min(steps, m // _BLOCK_SHARE)
         block -= block % period
         # a strip that is one product pays from the least frontier its
         # 64-step block admits
-        if (not block and steps >= period and m > 2 * period
-                and _strip_map(self.topology.cycle_size) is not None):
-            return period
+        if not block and steps >= period and m > 2 * period and _strip_map(n) is not None:
+            block = period
+        if not block:
+            return super()._block(steps)
+        moved, floor = self._free_steps(self._values[:, n : n + m + 1], block)
+        self.reserve(m + block + 2)
+        self._advance_strip(block)
+        # `moved` holds sites block + 1 .. m + block
+        self._values[:, n + block + 1 : n + m + block + 1] = moved
+        del moved  # before the next block's transforms allocate
+        self._frontier = m + block
+        self._cut_tail(floor)
         return block
 
     def _advance_strip(self, steps):
@@ -362,7 +351,8 @@ class WalkerState(_driver.TwoBufferWalk):
             ).reshape(self._COMPONENTS, -1)
             self.time += steps
         else:
-            # K <= self._frontier // _BLOCK_SHARE, so the frontier is >= 2K + 2
+            # a 64-step block with a strip map took the product above, so
+            # K <= frontier // _BLOCK_SHARE and the frontier is >= 2K + 2
             self._truncate(2 * steps + 2)
             self._advance(steps)
 

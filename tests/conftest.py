@@ -31,10 +31,10 @@ SNAPSHOT_TIMES = (0, 5000, 10000) + BENCH_TIMES
 
 
 def no_light_cone_blocks(patch):
-    """Give the quantum walk the shared block loop through `patch` (a
-    pytest MonkeyPatch), so that it takes no light-cone block: its steps
-    are then the same bits as single steps."""
-    patch.setattr(WalkerState, "_advance", _driver.TwoBufferWalk._advance)
+    """Give the quantum walk the shared engine's `_block` through `patch`
+    (a pytest MonkeyPatch), so that it takes no light-cone block: its
+    steps are then the same bits as single steps."""
+    patch.setattr(WalkerState, "_block", _driver.TwoBufferWalk._block)
 
 
 @pytest.fixture(scope="session")

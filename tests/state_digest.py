@@ -15,9 +15,12 @@ of `advance`.  The walks are
 - 10**5 quantum steps from cycle:12:R on 25 nodes, advanced to 2 * 10**4,
   5 * 10**4 and 10**5.
 
-A light-cone block's last bits depend on numpy's FFT, so compare digests
-taken with the same numpy on the same CPU.  Runs in about 4 s, outside
-the suite:
+It prints that digest, then one digest per group of walks (the plain
+walks, share 4, share 3 without the strip map, the 10**5-step walk), each
+fed the same bytes as the overall one, so that a mismatch shows which
+group moved.  A light-cone block's last bits depend on numpy's FFT, so
+compare digests taken with the same numpy on the same CPU.  Runs in about
+5 s, outside the suite:
 
     PYTHONPATH=src python3 tests/state_digest.py
 """
@@ -52,6 +55,17 @@ def launches(n):
             (topology, HalfLineNode(3), Coin.UP)]
 
 
+class Tee:
+    """Feeds every update to the overall digest and one group's digest."""
+
+    def __init__(self, *digests):
+        self.digests = digests
+
+    def update(self, data):
+        for digest in self.digests:
+            digest.update(data)
+
+
 def absorb(digest, state):
     digest.update(state._values.tobytes())
     digest.update(repr((state.time, state._frontier, state.extent,
@@ -72,7 +86,13 @@ def quantum_walks(digest):
 
 
 def main() -> None:
-    digest = hashlib.sha256()
+    overall, groups = hashlib.sha256(), {}
+
+    def group(name):
+        groups[name] = hashlib.sha256()
+        return Tee(overall, groups[name])
+
+    digest = group("plain walks")
     for n in CYCLE_SIZES:
         for topology, site, coin in launches(n):
             for chunks in CHUNKINGS:
@@ -80,13 +100,15 @@ def main() -> None:
                 walk(digest, make_point_distribution(topology, site), chunks)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quantum, "_BLOCK_SHARE", 4)
-        quantum_walks(digest)
+        quantum_walks(group("share 4"))
         patch.setattr(quantum, "_BLOCK_SHARE", 3)
         patch.setattr(quantum, "_strip_map", lambda cycle_size: None)
-        quantum_walks(digest)
+        quantum_walks(group("share 3, no strip map"))
     start = make_basis_state(LollipopTopology(25), CycleNode(12), Coin.RIGHT)
-    walk(digest, start, [20000, 30000, 50000])
-    print(digest.hexdigest())
+    walk(group("10**5 steps"), start, [20000, 30000, 50000])
+    print(overall.hexdigest())
+    for name, digest in groups.items():
+        print(f"{digest.hexdigest()}  {name}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from lollipop_walk import (
     CycleNode,
     HalfLineNode,
     LollipopTopology,
+    WalkerState,
     evolve_classical,
     evolve_quantum,
     make_basis_state,
@@ -298,10 +299,31 @@ def test_blocks_end_only_at_trims_not_at_growths(model, extent):
 def test_no_stepped_run_crosses_a_trim_boundary(region, strip_map, data):
     walk, start, chunks = data.draw(chunked_launches("quantum", region))
     step_columns, runs = _driver.TwoBufferWalk._step_columns, []
+    block = WalkerState._block
+    # steps left of each open request, the caller's `advance` outermost;
+    # [start time, light-cone] of each block under way
+    requests, blocks = [], []
 
     def recording_step_columns(state, width, steps):
         runs.append((state.time, steps))
         step_columns(state, width, steps)
+
+    def recording_block(state, steps):
+        assert steps == requests[-1]  # the loop asks for what is left
+        blocks.append([state.time, False])
+        length = block(state, steps)
+        start, light_cone = blocks.pop()
+        assert 1 <= length <= steps
+        assert not light_cone or (start % 64 == 0 and length % 64 == 0)
+        requests[-1] -= length
+        return length
+
+    def recording_strip(state, steps):
+        blocks[-1][1] = True  # only a light-cone block takes a strip
+        requests.append(steps)
+        strip(state, steps)
+        # a strip taken in one product takes no block
+        assert requests.pop() == (steps if strip_map and steps == 64 else 0)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_driver.TwoBufferWalk, "_step_columns", recording_step_columns)
@@ -313,8 +335,13 @@ def test_no_stepped_run_crosses_a_trim_boundary(region, strip_map, data):
             patch.setattr(quantum, "_strip_map", lambda cycle_size: None)
             patch.setattr(quantum, "_BLOCK_SHARE", 3)
         budget = record_blocks(patch)
+        strip = WalkerState._advance_strip
+        patch.setattr(WalkerState, "_block", recording_block)
+        patch.setattr(WalkerState, "_advance_strip", recording_strip)
         for count in [start] + chunks:
+            requests.append(count)
             walk.advance(count)
+            assert requests.pop() == 0
     assert runs and all(time % 64 + steps <= 64 for time, steps in runs)
     assert not start or budget.depth >= 1 + (not strip_map)
 

@@ -8,7 +8,7 @@ zero tail past the frontier after every cut and strip; strips that step
 on the walk itself, constructing none; the size limits of the symbol and
 strip-map caches and bits that do not depend on them; and the long
 benchmark fixture and a long `run` against block-free stepping.  The
-block-free references run `_driver`'s shared loop alone
+block-free references take `_driver`'s shared blocks alone
 (`conftest.no_light_cone_blocks`)."""
 
 import csv
@@ -95,7 +95,7 @@ def reference_symbol(steps, points):
 
 @pytest.mark.parametrize("points", [384, 512, 1536, 4096, 6144, 8192, 12288, 3 << 15, 1 << 17])
 @pytest.mark.parametrize("steps", [64, 576, 12288])
-def test_symbols_from_tables_equal_the_whole_formula_bit_for_bit(steps, points):
+def test_symbols_equal_the_whole_formula_bit_for_bit(steps, points):
     # sizes on both sides of the symbol cache's limit, 8192
     for got, want in zip(quantum._free_symbol(steps, points),
                          reference_symbol(steps, points)):
